@@ -10,9 +10,9 @@ from .atomic import (BranchingTable, DecayParams, LevelScheme, Manifold,
                      SublevelId, TransitionEntry, TransitionTable,
                      decay_distribution, derive_transitions,
                      effective_branching, load_table1, relative_strength)
-from .doppler import (CO, COUNTER, CellSolver, SweepSpec, VelocityGrid,
-                      doppler_shifts, read_sweep_csv, sweep,
-                      thermal_rms_velocity, write_sweep_csv)
+from .doppler import (CO, COUNTER, SweepSpec, VelocityGrid, doppler_shifts,
+                      read_sweep_csv, sweep, thermal_rms_velocity,
+                      write_sweep_csv)
 from .errors import (ConfigError, InversionError, ModelError, SolverError,
                      VaporplateError)
 from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
@@ -36,9 +36,8 @@ __all__ = [
     "TransitionEntry", "TransitionTable", "decay_distribution",
     "derive_transitions", "effective_branching", "load_table1",
     "relative_strength",
-    "CO", "COUNTER", "CellSolver", "SweepSpec", "VelocityGrid",
-    "doppler_shifts", "read_sweep_csv", "sweep", "thermal_rms_velocity",
-    "write_sweep_csv",
+    "CO", "COUNTER", "SweepSpec", "VelocityGrid", "doppler_shifts",
+    "read_sweep_csv", "sweep", "thermal_rms_velocity", "write_sweep_csv",
     "ConfigError", "InversionError", "ModelError", "SolverError",
     "VaporplateError",
     "DecayNetwork", "FieldSpec", "Liouvillian", "build_hamiltonian", "evolve",

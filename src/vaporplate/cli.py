@@ -14,12 +14,11 @@ from dataclasses import replace
 import numpy as np
 
 from .atomic import load_table1
-from .doppler import (CO, COUNTER, CellSolver, SweepSpec, doppler_shifts,
-                      sweep, write_sweep_csv)
+from .doppler import CO, COUNTER, doppler_shifts, sweep, write_sweep_csv
 from .errors import ConfigError, VaporplateError
 from .liouville import build_hamiltonian, steady_state, vectorize
-from .polarimetry import LcrScan, detector_intensity, invert_scan, \
-    invert_scan_lsq, response_from_density
+from .polarimetry import (LcrScan, detector_intensity, invert_scan_lsq,
+                          response_from_density)
 from .scenario import PRESETS, Scenario, load_preset, load_scenario
 
 
@@ -105,8 +104,7 @@ def cmd_lcr(args) -> int:
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry)
     delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
-    spec = replace(spec, detunings=np.array([delta_s]))
-    r = CellSolver(spec).averaged_response(delta_s)
+    (r,) = sweep(replace(spec, detunings=np.array([delta_s])))
 
     if args.voltages:
         thetas = [scn.analyzer.calibration.theta(v) for v in args.voltages]
@@ -136,13 +134,9 @@ def cmd_invert(args) -> int:
             rows.append((math.radians(theta_deg), intensity))
     if len(rows) < 3:
         raise ConfigError(f"{args.scan}: need at least 3 scan points")
-    thetas = [t for t, _ in rows]
-    intensities = [i for _, i in rows]
-    if len(rows) == 3:
-        res = invert_scan(thetas, intensities, args.e0, args.alpha_minus)
-    else:
-        res = invert_scan_lsq(LcrScan(tuple(thetas), tuple(intensities),
-                                      args.e0), args.e0, args.alpha_minus)
+    thetas, intensities = zip(*rows)
+    res = invert_scan_lsq(LcrScan(thetas, intensities, args.e0), args.e0,
+                          args.alpha_minus)
     print(f"alpha_d  = {res.alpha_d:.6e}")
     print(f"phi_d    = {math.degrees(res.phi_d):.4f} deg "
           f"(branches: {', '.join(f'{math.degrees(b):.4f}' for b in res.phi_d_branches)})")

@@ -1,6 +1,7 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-Each grid cell is an independent steady-state solve; parallelism is a plain
+Each grid cell is one steady-state solve of the spec's generator with its
+detunings shifted (liouville.steady_state); parallelism is a plain
 process pool over detunings with a fixed, velocity-ordered reduction per
 detuning, so results do not depend on the worker count.
 """
@@ -11,12 +12,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
-from .liouville import DecayNetwork, FieldSpec, build_hamiltonian, vectorize
+from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
+                        build_hamiltonian, steady_state, vectorize)
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
 KB = 1.380649e-23          # J/K
@@ -48,7 +51,10 @@ class VelocityGrid:
     def __post_init__(self):
         if len(self.velocities) != len(self.weights):
             raise ModelError("velocity grid arrays differ in length")
-        if abs(sum(self.weights) - 1.0) > 1e-6:
+        if not np.all(np.isfinite(self.velocities + self.weights)):
+            raise ModelError(f"{self.kind} velocity grid has non-finite "
+                             "nodes or weights")
+        if not abs(sum(self.weights) - 1.0) <= 1e-6:
             raise ModelError("velocity weights must sum to 1")
 
     @classmethod
@@ -114,120 +120,42 @@ class SweepSpec:
             raise ModelError(f"unknown geometry {self.geometry!r}")
 
 
-class CellSolver:
-    """Solves single (detuning, velocity) cells.
+def _generator(spec: SweepSpec) -> Liouvillian:
+    """The spec's Liouvillian for an atom at rest; every cell of the sweep
+    is this generator with its detunings shifted."""
+    h = build_hamiltonian(spec.scheme, spec.transitions, spec.fields)
+    return vectorize(h, spec.scheme, spec.network)
 
-    The Liouvillian is assembled once; a detuning or Doppler shift only moves
-    Hamiltonian diagonals, which maps to a diagonal update of the coefficient
-    matrix.  The incremental path is exact (verified against full rebuilds in
-    the test suite)."""
 
-    def __init__(self, spec: SweepSpec):
-        self.spec = spec
-        scheme = spec.scheme
-        self._ds0 = spec.fields["signal"].detuning
-        h0 = build_hamiltonian(scheme, spec.transitions, spec.fields)
-        liou = vectorize(h0, scheme, spec.network)
-        self._liou = liou
-        self._m0 = liou.m
-        n_vec = len(liou.coords)
-        self._diag = np.arange(n_vec)
-
-        cc = np.zeros(n_vec, dtype=complex)
-        cs = np.zeros(n_vec, dtype=complex)
-        for k, (i, j) in enumerate(liou.coords):
-            ti, tj = scheme.tiers[i], scheme.tiers[j]
-            li, lj = scheme.is_lumped(i), scheme.is_lumped(j)
-            ci = (ti >= 1 and not li) - (tj >= 1 and not lj)
-            si = (ti >= 2 and not li) - (tj >= 2 and not lj)
-            cc[k] = 1j * ci
-            cs[k] = 1j * si
-        self._cc, self._cs = cc, cs
-
-        pos = liou.pos
-        self._trace_row = pos[(scheme.n_levels - 1, scheme.n_levels - 1)]
-        trace_vec = np.zeros(n_vec, dtype=complex)
-        for k in liou.population_positions():
-            trace_vec[k] = 1.0
-        self._trace_vec = trace_vec
-        self._b = np.zeros(n_vec, dtype=complex)
-        self._b[self._trace_row] = 1.0
-        self._k_pump = spec.fields["pump"].k
-        self._k_signal = spec.fields["signal"].k
-
-        sig = spec.transitions.for_field("signal")
-        self._sig_terms = {
-            q: [(pos[(scheme.index[e.lower], scheme.index[e.upper])],
-                 e.strength) for e in sig if e.q == q]
-            for q in (1, -1)}
-
-    def solve_cell(self, delta_s: float, v: float) -> OpticalResponse:
-        spec = self.spec
-        shift_c, shift_s = doppler_shifts(v, spec.geometry,
-                                          self._k_pump, self._k_signal)
-        dlt_c = shift_c
-        dlt_s = (delta_s - self._ds0) + shift_s
-
-        m = self._m0.copy()
-        m[self._diag, self._diag] += self._cc * dlt_c + self._cs * dlt_s
-        saved_row = m[self._trace_row].copy()
-        m[self._trace_row] = self._trace_vec
+def _averaged_response(spec: SweepSpec, liou: Liouvillian,
+                       delta_s: float) -> OpticalResponse:
+    """Weight-average over the velocity grid, in fixed grid order."""
+    pump, signal = spec.fields["pump"], spec.fields["signal"]
+    acc = np.zeros(4)
+    for v, w in zip(spec.grid.velocities, spec.grid.weights):
+        shift_p, shift_s = doppler_shifts(v, spec.geometry, pump.k, signal.k)
         try:
-            x = np.linalg.solve(m, self._b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"steady-state solve failed at delta_s={delta_s:g}, "
-                f"v={v:g}: {exc}") from exc
-        resid = m @ x - self._b
-        resid[self._trace_row] = saved_row @ x
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(resid)) > 1e-9 * scale:
-            raise SolverError(
-                f"steady-state residual too large at delta_s={delta_s:g}, "
-                f"v={v:g}")
-        return self._response(x)
-
-    def _response(self, x: np.ndarray) -> OpticalResponse:
-        med = self.spec.medium
-        sig = self.spec.fields["signal"]
-        kl = med.k_cm * med.length
-        out = {}
-        for q in (1, -1):
-            eps = sig.component(q)
-            if abs(eps) < 1e-15:
-                out[q] = (0.0, 0.0)
-                continue
-            if not self._sig_terms[q]:
-                raise ModelError(
-                    f"signal drives sigma{'+' if q == 1 else '-'} but no "
-                    "transition of that polarization exists")
-            total = sum(a * x[k] for k, a in self._sig_terms[q])
-            ref = total / np.conjugate(eps)
-            out[q] = (kl * med.beta / 2.0 * ref.real,
-                      kl * med.beta * ref.imag / 2.0)
-        (pp, ap), (pm, am) = out[1], out[-1]
-        return OpticalResponse(pp, pm, ap, am)
-
-    def averaged_response(self, delta_s: float) -> OpticalResponse:
-        """Weight-average over the velocity grid, in fixed grid order."""
-        acc = np.zeros(4)
-        for v, w in zip(self.spec.grid.velocities, self.spec.grid.weights):
-            acc += w * np.asarray(self.solve_cell(delta_s, v).as_tuple())
-        return OpticalResponse(*acc)
+            rho = steady_state(liou, shift_p,
+                               (delta_s - signal.detuning) + shift_s)
+        except SolverError as exc:
+            raise SolverError(f"{exc} at delta_s={delta_s:g}, v={v:g}") \
+                from exc
+        r = response_from_density(rho, spec.scheme, spec.transitions, signal,
+                                  spec.medium)
+        acc += w * np.asarray(r.as_tuple())
+    return OpticalResponse(*acc)
 
 
-_WORKER_SOLVER: CellSolver | None = None
-
-
-def _worker_init(spec: SweepSpec) -> None:
-    global _WORKER_SOLVER
-    _WORKER_SOLVER = CellSolver(spec)
-
-
-def _worker_run(job: tuple[int, float]) -> tuple[int, tuple[float, ...]]:
-    idx, delta_s = job
-    assert _WORKER_SOLVER is not None
-    return idx, _WORKER_SOLVER.averaged_response(delta_s).as_tuple()
+def _fingerprint(spec: SweepSpec, liou: Liouvillian) -> str:
+    """Digest of everything a sweep's rows depend on: detunings, geometry,
+    grid, fields, medium and the generator at rest (scheme, transitions and
+    decay network)."""
+    import hashlib      # here, not at the top: it slows CLI start-up
+    digest = hashlib.sha256(spec.detunings.tobytes())
+    digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
+                        spec.medium)).encode())
+    digest.update(np.ascontiguousarray(liou.m))
+    return digest.hexdigest()
 
 
 def sweep(spec: SweepSpec, workers: int = 1, progress=None,
@@ -236,48 +164,50 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
 
     Output order follows the detuning list and is independent of the worker
     count.  With a checkpoint path, completed detunings are saved every 16
-    results and skipped on resume."""
+    results and skipped on resume; a checkpoint written for a different
+    spec is ignored and its detunings are recomputed."""
     n = len(spec.detunings)
     results: dict[int, tuple[float, ...]] = {}
+    liou = _generator(spec)
+    fingerprint = _fingerprint(spec, liou) if checkpoint else ""
 
     if checkpoint and os.path.exists(checkpoint):
-        data = np.load(checkpoint)
-        if data["detunings"].shape == spec.detunings.shape and \
-                np.allclose(data["detunings"], spec.detunings):
-            for idx in np.flatnonzero(data["done"]):
-                results[int(idx)] = tuple(data["responses"][idx])
+        with np.load(checkpoint) as data:
+            if "fingerprint" in data.files and \
+                    str(data["fingerprint"]) == fingerprint:
+                for idx in np.flatnonzero(data["done"]):
+                    results[int(idx)] = tuple(data["responses"][idx])
 
-    todo = [(i, float(d)) for i, d in enumerate(spec.detunings)
-            if i not in results]
+    todo = [i for i in range(n) if i not in results]
     since_save = 0
 
     def handle(idx, resp):
         nonlocal since_save
-        results[idx] = resp
+        results[idx] = resp.as_tuple()
         since_save += 1
         if progress:
             progress(len(results), n)
         if checkpoint and (since_save >= 16 or len(results) == n):
-            _save_checkpoint(checkpoint, spec.detunings, results)
+            _save_checkpoint(checkpoint, fingerprint, n, results)
             since_save = 0
 
+    average = partial(_averaged_response, spec, liou)
+    detunings = spec.detunings[todo].tolist()
     if workers <= 1 or len(todo) <= 1:
-        solver = CellSolver(spec)
-        for idx, d in todo:
-            handle(idx, solver.averaged_response(d).as_tuple())
+        for idx, resp in zip(todo, map(average, detunings)):
+            handle(idx, resp)
     else:
         chunk = max(1, len(todo) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(spec,)) as pool:
-            for idx, resp in pool.map(_worker_run, todo, chunksize=chunk):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for idx, resp in zip(todo, pool.map(average, detunings,
+                                                chunksize=chunk)):
                 handle(idx, resp)
 
     return [OpticalResponse(*results[i]) for i in range(n)]
 
 
-def _save_checkpoint(path: str, detunings: np.ndarray,
+def _save_checkpoint(path: str, fingerprint: str, n: int,
                      results: dict[int, tuple[float, ...]]) -> None:
-    n = len(detunings)
     responses = np.zeros((n, 4))
     done = np.zeros(n, dtype=bool)
     for idx, resp in results.items():
@@ -285,7 +215,7 @@ def _save_checkpoint(path: str, detunings: np.ndarray,
         done[idx] = True
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, detunings=detunings, responses=responses, done=done)
+        np.savez(fh, fingerprint=fingerprint, responses=responses, done=done)
     os.replace(tmp, path)
 
 
@@ -308,8 +238,16 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, list[OpticalResponse]]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ModelError(f"unexpected sweep CSV columns in {path}")
-        rows = np.array([[float(tok) for tok in line.split(",")]
-                         for line in fh if line.strip()])
+        try:
+            rows = np.array([[float(tok) for tok in line.split(",")]
+                             for line in fh if line.strip()])
+        except ValueError as exc:
+            raise ModelError(f"malformed sweep CSV row in {path}: {exc}") \
+                from exc
+    width = len(CSV_HEADER.split(","))
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ModelError(f"sweep CSV {path} has no data rows of {width} "
+                         "columns")
     detunings = rows[:, 0]
     responses = [OpticalResponse(*row[1:5]) for row in rows]
     return detunings, responses

@@ -4,9 +4,11 @@ and steady-state / time-domain solvers.
 The density matrix is vectorized over an index set that keeps every
 population slot but only coherences between non-lumped levels; coherences
 involving lumped reservoirs are never driven and are excluded exactly.
-Two representations are supported: the homogeneous one (d vec/dt = M vec,
-s = 0, trace imposed at solve time) and a trace-eliminated one where the
-last population is substituted out and s is a genuine source term.
+The generator is homogeneous (d vec/dt = M vec, s = 0); the trace is
+imposed at solve time.  This module is the only one that knows the
+coordinate layout: `vectorize` records the index arrays and how each
+diagonal entry of M moves with extra pump and signal detuning, and
+`steady_state` is the one steady-state solve.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ class FieldSpec:
     def __post_init__(self):
         a, b = self.polarization
         norm = abs(a) ** 2 + abs(b) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ModelError(
                 f"{self.role} polarization not normalized: |a|^2+|b|^2 = {norm!r}")
-        if self.rabi < 0:
-            raise ModelError(f"{self.role} Rabi frequency must be >= 0")
+        if not 0 <= self.rabi < np.inf:
+            raise ModelError(f"{self.role} Rabi frequency must be finite "
+                             f"and >= 0, got {self.rabi!r}")
+        if not np.isfinite(self.detuning) or not np.isfinite(self.k):
+            raise ModelError(f"{self.role} detuning and k must be finite")
 
     def component(self, q: int) -> complex:
         """Field amplitude driving a transition of polarization q."""
@@ -86,6 +91,15 @@ class DecayNetwork:
         return g
 
 
+def _detuned_levels(scheme: LevelScheme) -> tuple[np.ndarray, np.ndarray]:
+    """Per level, 1.0 where the pump (resp. signal) detuning lowers the
+    rotating-frame energy: resolved levels of tier >= 1 (resp. >= 2)."""
+    tiers = np.asarray(scheme.tiers)
+    resolved = ~np.array([lev.lumped for lev in scheme.levels])
+    return ((tiers >= 1) & resolved).astype(float), \
+        ((tiers >= 2) & resolved).astype(float)
+
+
 def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
                       fields: dict[str, FieldSpec],
                       velocity_shifts: tuple[float, float] = (0.0, 0.0)
@@ -98,19 +112,12 @@ def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
     transition Rabi frequency projected on the field polarization.  Lumped
     levels stay uncoupled.
     """
-    n = scheme.n_levels
     dc = fields["pump"].detuning + velocity_shifts[0] if "pump" in fields else 0.0
     ds = fields["signal"].detuning + velocity_shifts[1] if "signal" in fields else 0.0
 
-    h = np.zeros((n, n), dtype=complex)
-    for k, (lev, tier) in enumerate(zip(scheme.levels, scheme.tiers)):
-        d = scheme.energy_offsets[k]
-        if not lev.lumped:
-            if tier >= 1:
-                d -= dc
-            if tier >= 2:
-                d -= ds
-        h[k, k] = d
+    pump_levels, signal_levels = _detuned_levels(scheme)
+    h = np.diag(scheme.energy_offsets - dc * pump_levels
+                - ds * signal_levels).astype(complex)
 
     for entry in transitions.entries:
         if entry.field not in fields:
@@ -133,58 +140,42 @@ def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
 @dataclass(frozen=True)
 class Liouvillian:
     """Linear generator d vec(rho)/dt = m @ vec(rho) + s over the retained
-    coordinate set."""
+    coordinate set.
+
+    s is zero: the trace is imposed when solving.  rows/cols index rho for
+    each coordinate, populations lists the diagonal coordinates, and
+    d_pump/d_signal are the derivatives of diag(m) with respect to extra pump
+    and signal detuning."""
 
     m: np.ndarray
     s: np.ndarray
     coords: tuple[tuple[int, int], ...]
     n_levels: int
-    eliminated: tuple[int, int] | None = None   # population removed by trace
-
-    @property
-    def pos(self) -> dict[tuple[int, int], int]:
-        return {c: k for k, c in enumerate(self.coords)}
-
-    def population_positions(self) -> list[int]:
-        return [k for k, (i, j) in enumerate(self.coords) if i == j]
+    rows: np.ndarray
+    cols: np.ndarray
+    populations: np.ndarray
+    d_pump: np.ndarray
+    d_signal: np.ndarray
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
-        return np.array([rho[i, j] for i, j in self.coords], dtype=complex)
+        return np.asarray(rho)[self.rows, self.cols].astype(complex)
 
     def to_matrix(self, x: np.ndarray) -> np.ndarray:
         rho = np.zeros((self.n_levels, self.n_levels), dtype=complex)
-        for k, (i, j) in enumerate(self.coords):
-            rho[i, j] = x[k]
-        if self.eliminated is not None:
-            i, _ = self.eliminated
-            rho[i, i] = 1.0 - sum(rho[j, j] for j in range(self.n_levels)
-                                  if j != i)
+        rho[self.rows, self.cols] = x
         return rho
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Time derivative of rho under this generator."""
-        if self.eliminated is not None:
-            raise SolverError("apply requires the homogeneous representation")
         return self.to_matrix(self.m @ self.to_vector(rho) + self.s)
 
 
-def _coordinate_set(scheme: LevelScheme) -> list[tuple[int, int]]:
-    n = scheme.n_levels
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or (not scheme.is_lumped(i) and not scheme.is_lumped(j)):
-                coords.append((i, j))
-    return coords
-
-
-def vectorize(h: np.ndarray, scheme: LevelScheme, network: DecayNetwork,
-              eliminate_trace: bool = False) -> Liouvillian:
+def vectorize(h: np.ndarray, scheme: LevelScheme,
+              network: DecayNetwork) -> Liouvillian:
     """Vectorize -i[H, rho] plus the decay network into a linear system.
 
-    With eliminate_trace the last population slot is substituted out using
-    trace(rho) = 1, which moves the repopulation flow into a constant source
-    vector; otherwise s = 0 and the trace is imposed when solving.
+    Keeps every population and the coherences between non-lumped levels,
+    in row-major order; s = 0 and the trace is imposed when solving.
     """
     n = scheme.n_levels
     if h.shape != (n, n):
@@ -196,91 +187,80 @@ def vectorize(h: np.ndarray, scheme: LevelScheme, network: DecayNetwork,
     m_full = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
     loss = network.loss_rates()
-    for i in range(n):
-        for j in range(n):
-            m_full[i * n + j, i * n + j] -= 0.5 * (loss[i] + loss[j])
+    m_full[np.diag_indices(n * n)] -= \
+        0.5 * (loss[:, None] + loss[None, :]).ravel()
     for src, chans in network.channels:
         for tgt, rate in chans:
             m_full[tgt * n + tgt, src * n + src] += rate
 
-    coords = _coordinate_set(scheme)
-    sel = [i * n + j for i, j in coords]
-    excl = sorted(set(range(n * n)) - set(sel))
-    if excl and np.max(np.abs(m_full[np.ix_(sel, excl)])) > 0.0:
+    lumped = np.array([lev.lumped for lev in scheme.levels])
+    keep = np.eye(n, dtype=bool) | ~(lumped[:, None] | lumped[None, :])
+    rows, cols = np.nonzero(keep)
+    sel = rows * n + cols
+    excl = np.flatnonzero(~keep.ravel())
+    if excl.size and np.max(np.abs(m_full[np.ix_(sel, excl)])) > 0.0:
         raise ModelError("excluded lumped coherences feed retained "
                          "coordinates; lumped levels must stay uncoupled")
 
-    m = m_full[np.ix_(sel, sel)]
-    s = np.zeros(len(sel), dtype=complex)
-    liou = Liouvillian(m, s, tuple(coords), n)
+    pump_levels, signal_levels = _detuned_levels(scheme)
+    liou = Liouvillian(
+        m=m_full[np.ix_(sel, sel)], s=np.zeros(sel.size, dtype=complex),
+        coords=tuple(zip(rows.tolist(), cols.tolist())), n_levels=n,
+        rows=rows, cols=cols, populations=np.flatnonzero(rows == cols),
+        d_pump=1j * (pump_levels[rows] - pump_levels[cols]),
+        d_signal=1j * (signal_levels[rows] - signal_levels[cols]))
     _check_trace_preservation(liou)
-    if eliminate_trace:
-        liou = _eliminate_trace(liou)
     return liou
 
 
 def _check_trace_preservation(liou: Liouvillian) -> None:
-    pop = liou.population_positions()
+    pop = liou.populations
     col_sums = liou.m[pop, :].sum(axis=0)
     if np.max(np.abs(col_sums[pop])) > 1e-10:
         raise SolverError("decay network orphans population "
                           "(population column deficit)")
 
 
-def _eliminate_trace(liou: Liouvillian) -> Liouvillian:
-    n = liou.n_levels
-    drop = (n - 1, n - 1)
-    k_drop = liou.pos[drop]
-    pop = [k for k in liou.population_positions() if k != k_drop]
+def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
+                 signal_shift: float = 0.0) -> np.ndarray:
+    """Solve M vec(rho) = 0 with trace(rho) = 1.
 
-    keep = [k for k in range(len(liou.coords)) if k != k_drop]
-    m = liou.m[np.ix_(keep, keep)].copy()
-    col = liou.m[keep, k_drop]
-    s = col.copy()                       # rho_tt -> 1 contributes a source
-    for knew, kold in enumerate(keep):
-        if kold in pop:
-            m[:, knew] -= col            # and -sum(other populations)
-    coords = tuple(c for k, c in enumerate(liou.coords) if k != k_drop)
-    return Liouvillian(m, s, coords, n, eliminated=drop)
-
-
-def steady_state(liou: Liouvillian) -> np.ndarray:
-    """Solve M vec(rho) + s = 0 with trace(rho) = 1.
-
-    In the homogeneous representation one redundant population row (the last
-    diagonal slot) is replaced by the trace constraint.  The result is
-    validated for residual, Hermiticity, and positivity.
+    pump_shift and signal_shift are detunings added to those the generator
+    was built with (a Doppler shift, or a sweep's signal detuning); they only
+    move diagonal entries of M.  The redundant last population row is
+    replaced by the trace constraint in one working copy.  The result is
+    validated for residual, trace, Hermiticity, and positivity.
     """
-    if liou.eliminated is not None:
-        try:
-            x = np.linalg.solve(liou.m, -liou.s)
-        except np.linalg.LinAlgError:
-            _raise_nonunique(liou.m)
-        rho = liou.to_matrix(x)
-        resid = np.max(np.abs(liou.m @ x + liou.s))
-    else:
-        a = liou.m.copy()
-        b = np.zeros(len(liou.coords), dtype=complex)
-        row = liou.pos[(liou.n_levels - 1, liou.n_levels - 1)]
-        a[row, :] = 0.0
-        for k in liou.population_positions():
-            a[row, k] = 1.0
-        b[row] = 1.0
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            _raise_nonunique(a)
-        resid = np.max(np.abs(liou.m @ x + liou.s))
-        rho = liou.to_matrix(x)
-
-    scale = max(1.0, np.max(np.abs(liou.m)))
-    if resid > 1e-9 * scale:
-        _raise_nonunique(liou.m, resid)
+    a = liou.m.copy()
+    diag = np.arange(len(a))
+    a[diag, diag] += liou.d_pump * pump_shift + liou.d_signal * signal_shift
+    row = liou.populations[-1]
+    saved_row = a[row].copy()
+    a[row] = 0.0
+    a[row, liou.populations] = 1.0
+    b = np.zeros(len(a), dtype=complex)
+    b[row] = 1.0
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        a[row] = saved_row
+        _raise_nonunique(a)
+    resid = a @ x - b
+    resid[row] = saved_row @ x
+    resid = np.max(np.abs(resid))
+    # the bound is 1e-9 * max(1, max|a|); max|a| costs a pass over the
+    # matrix, so it is taken only when the residual exceeds 1e-9
+    if not (resid <= 1e-9 or resid <= 1e-9 * np.max(np.abs(a))):
+        a[row] = saved_row
+        _raise_nonunique(a, resid)
+    rho = liou.to_matrix(x)
     _validate_density(rho)
     return rho
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):
+    if not np.all(np.isfinite(m)):
+        raise SolverError("steady-state generator is not finite")
     sv = np.linalg.svd(m, compute_uv=False)
     tol = max(m.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)
     null_dim = int(np.sum(sv < tol))
@@ -291,11 +271,11 @@ def _raise_nonunique(m: np.ndarray, resid: float | None = None):
 
 
 def _validate_density(rho: np.ndarray) -> None:
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
         raise SolverError("steady state is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
         raise SolverError("steady state trace deviates from 1")
-    if np.min(np.diag(rho).real) < -1e-8:
+    if not np.min(np.diag(rho).real) >= -1e-8:
         raise SolverError("steady state has negative population beyond tolerance")
 
 
@@ -306,14 +286,12 @@ def evolve(rho0: np.ndarray, liou: Liouvillian, t_final: float,
     Serves as an independent oracle for steady_state.  Aborts if the trace
     drifts by more than 1e-3, which indicates an unstable step size.
     """
-    if liou.eliminated is not None:
-        raise SolverError("evolve requires the homogeneous representation")
     if dt <= 0 or t_final < 0:
         raise SolverError("dt must be > 0 and t_final >= 0")
 
     m, s = liou.m, liou.s
     x = liou.to_vector(rho0)
-    pop = liou.population_positions()
+    pop = liou.populations
     steps = int(np.ceil(t_final / dt))
     dt = t_final / steps if steps else dt
 

@@ -266,89 +266,64 @@ class InversionResult:
     residual: float
 
 
+def _fit_scan(thetas: np.ndarray, intensities: np.ndarray, e0: float,
+              alpha_minus: float) -> InversionResult:
+    """Least-squares fit of the detector model over any number of samples.
+
+    With K = e0*exp(-2*alpha_minus)/4, u = exp(-2*alpha_d) and
+    w = exp(-alpha_d)*cos(phi_d), detector_intensity reads
+        I = K (1 + sin th) + K u (1 - sin th) - 2 K w cos th,
+    which is linear in (K, K u, K w).  K is fitted, so e0 and alpha_minus
+    enter only the residual; three distinct retardances determine the fit
+    exactly.  cos(phi_d) is even, so both phase branches are reported.
+    """
+    design = np.column_stack([1.0 + np.sin(thetas), 1.0 - np.sin(thetas),
+                              -2.0 * np.cos(thetas)])
+    (k, ku, kw), _, rank, sv = np.linalg.lstsq(design, intensities,
+                                               rcond=None)
+    if rank < 3 or sv[-1] < 1e-9 * sv[0]:
+        raise InversionError("ill-conditioned inversion: the retardances do "
+                             "not separate scale, attenuation and phase")
+    if not k > 0:
+        raise InversionError(f"inconsistent samples: fitted scale {k:.3e} "
+                             "<= 0")
+    u = ku / k
+    if not u > 0:
+        raise InversionError(f"inconsistent samples: exp(-2 alpha_d) = "
+                             f"{u:.3e} <= 0")
+    cos_pd = kw / k / math.sqrt(u)
+    if abs(cos_pd) > 1.0 + 1e-9:
+        raise InversionError(
+            f"inconsistent samples: |cos(phi_d)| = {abs(cos_pd):.6f} > 1")
+    alpha_d = -0.5 * math.log(u)
+    phi_d = math.acos(min(1.0, max(-1.0, cos_pd)))
+    resid = max(abs(detector_intensity(e0, alpha_minus, alpha_d, phi_d, t) - i)
+                for t, i in zip(thetas, intensities))
+    return InversionResult(alpha_d, phi_d, (phi_d, -phi_d), resid)
+
+
 def invert_scan(thetas, intensities, e0: float, alpha_minus: float
                 ) -> InversionResult:
-    """Recover (alpha_d, phi_d) from three scan samples in closed form.
+    """Recover (alpha_d, phi_d) from three scan samples.
 
-    cos(phi_d) is even, so the sign of phi_d is ambiguous; both branches are
-    reported.  Raises on degenerate retardance triples and on samples
-    inconsistent with the forward model.
+    Raises on degenerate retardance triples and on samples inconsistent
+    with the forward model.
     """
     th = np.asarray(thetas, dtype=float)
     ii = np.asarray(intensities, dtype=float)
     if th.shape != (3,) or ii.shape != (3,):
-        raise InversionError("the closed-form inversion needs exactly 3 samples")
-    if np.min(np.abs(np.subtract.outer(th, th)[np.triu_indices(3, 1)])) < 1e-9:
-        raise InversionError("ill-conditioned inversion: retardances must be "
-                             "pairwise distinct")
-
-    c = np.cos(th)
-    sn = np.sin(th)
-    s31 = math.sin(th[2] - th[0])
-    s23 = math.sin(th[1] - th[2])
-    s12 = math.sin(th[0] - th[1])
-    i1, i2, i3 = ii
-    num = i2 * i2 * (c[0] - c[2] - s31) + i1 * i2 * (c[2] - c[1] - s23) \
-        + i2 * i3 * (c[1] - c[0] - s12)
-    den = i2 * i2 * (c[2] - c[0] - s31) + i1 * i2 * (c[1] - c[2] - s23) \
-        + i2 * i3 * (c[0] - c[1] - s12)
-    if abs(den) < 1e-14 * max(1.0, np.max(ii) ** 2):
-        raise InversionError("ill-conditioned inversion: retardance triple "
-                             "leaves the attenuation ratio undetermined")
-    rad = num / den
-    if rad <= 0:
-        raise InversionError(
-            f"inconsistent samples: attenuation radicand {rad:.3e} <= 0")
-    y = math.sqrt(rad)
-    denom2 = 2.0 * (i2 * c[0] - i1 * c[1])
-    if abs(denom2) < 1e-14 * max(1.0, np.max(ii)):
-        raise InversionError("ill-conditioned inversion: phase denominator "
-                             "vanishes for this triple")
-    cos_pd = ((i2 - i1) * (y + 1.0 / y)
-              + (i1 * sn[1] - i2 * sn[0]) * (1.0 / y - y)) / denom2
-    if abs(cos_pd) > 1.0 + 1e-9:
-        raise InversionError(
-            f"inconsistent samples: |cos(phi_d)| = {abs(cos_pd):.6f} > 1")
-    cos_pd = min(1.0, max(-1.0, cos_pd))
-
-    alpha_d = math.log(y)
-    phi_d = math.acos(cos_pd)
-    resid = max(abs(detector_intensity(e0, alpha_minus, alpha_d, phi_d, t) - i)
-                for t, i in zip(th, ii))
-    return InversionResult(alpha_d, phi_d, (phi_d, -phi_d), resid)
+        raise InversionError("invert_scan needs exactly 3 samples")
+    return _fit_scan(th, ii, e0, alpha_minus)
 
 
 def invert_scan_lsq(scan: LcrScan, e0: float, alpha_minus: float
                     ) -> InversionResult:
-    """Least-squares inversion over a whole scan.
-
-    The model is linear in u = exp(-2*alpha_d) and w = exp(-alpha_d)*cos(phi_d)
-    once the overall scale K = e0*exp(-2*alpha_minus)/4 is known."""
+    """Least-squares inversion over a whole scan of at least 3 samples."""
     th = np.asarray(scan.thetas, dtype=float)
-    ii = np.asarray(scan.intensities, dtype=float)
-    if th.size < 2:
-        raise InversionError("least-squares inversion needs >= 2 samples")
-    k_scale = e0 * math.exp(-2.0 * alpha_minus) / 4.0
-    rhs = ii / k_scale - 1.0 - np.sin(th)
-    design = np.column_stack([1.0 - np.sin(th), -2.0 * np.cos(th)])
-    sol, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    u, w = sol
-    if design.shape[0] >= 2 and np.linalg.matrix_rank(design, tol=1e-10) < 2:
-        raise InversionError("ill-conditioned inversion: retardance schedule "
-                             "does not separate attenuation from phase")
-    if u <= 0:
-        raise InversionError(f"inconsistent samples: exp(-2 alpha_d) = {u:.3e}")
-    alpha_d = -0.5 * math.log(u)
-    cos_pd = w / math.sqrt(u)
-    if abs(cos_pd) > 1.0 + 1e-6:
-        raise InversionError(
-            f"inconsistent samples: |cos(phi_d)| = {abs(cos_pd):.6f} > 1")
-    cos_pd = min(1.0, max(-1.0, cos_pd))
-    phi_d = math.acos(cos_pd)
-    resid = float(np.max(np.abs(
-        [detector_intensity(e0, alpha_minus, alpha_d, phi_d, t) - i
-         for t, i in zip(th, ii)])))
-    return InversionResult(alpha_d, phi_d, (phi_d, -phi_d), resid)
+    if th.size < 3:
+        raise InversionError("least-squares inversion needs >= 3 samples")
+    return _fit_scan(th, np.asarray(scan.intensities, dtype=float), e0,
+                     alpha_minus)
 
 
 # ---------------------------------------------------------------------------

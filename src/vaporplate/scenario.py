@@ -292,7 +292,7 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
                     add(k, scheme.index[slot], rate)
                 d2_rate = params.gamma_b * (1.0 - f_d1)
                 if path == "effective":
-                    for tgt, frac in _table1_column(scheme, lev):
+                    for tgt, frac in _table1_distribution(scheme, [lev]):
                         add(k, tgt, d2_rate * frac)
                 else:
                     res_label = node.get("reservoir", "R")
@@ -310,7 +310,9 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
                                             "reservoir") == "reservoir":
             gamma_r = _freq(node.get("gamma_r", 1.0551), gamma_a_mhz,
                             "decay.gamma_r")
-            for tgt, frac in _table1_reservoir_distribution(scheme):
+            uppers = [lev for k, lev in enumerate(scheme.levels)
+                      if scheme.tiers[k] == 2 and not lev.lumped]
+            for tgt, frac in _table1_distribution(scheme, uppers):
                 add(scheme.index[res], tgt, gamma_r * frac)
 
     # ground-state cross relaxation toward equidistribution
@@ -346,32 +348,17 @@ def _ground_targets(scheme: LevelScheme):
     return table, targets
 
 
-def _table1_column(scheme: LevelScheme, lev: SublevelId):
+def _table1_distribution(scheme: LevelScheme, uppers):
+    """Ground-slot fractions for indirect decay out of the upper levels
+    `uppers`: the mean of their effective-branching columns (a lumped
+    reservoir forgets which sublevel fed it), accumulated onto the scheme's
+    ground slots and renormalized over the slots the scheme keeps."""
     table, targets = _ground_targets(scheme)
-    col = SublevelId("6S1/2", f=lev.f, mf=lev.mf)
-    if col not in table.cols:
-        raise ConfigError(f"no effective-branching column for {lev}")
-    fracs = table.column(col)
-    acc: dict[int, float] = {}
-    for frac, slot in zip(fracs, targets):
-        if slot is not None:
-            acc[slot] = acc.get(slot, 0.0) + frac
-    total = sum(acc.values())
-    return [(slot, f / total) for slot, f in acc.items()]
-
-
-def _table1_reservoir_distribution(scheme: LevelScheme):
-    """Ground distribution for decay out of the lumped 5P3/2 reservoir:
-    the average of the effective-branching columns of the upper levels
-    present in the scheme (lumping forgets which sublevel fed it)."""
-    table, targets = _ground_targets(scheme)
-    cols = [SublevelId("6S1/2", f=lev.f, mf=lev.mf)
-            for k, lev in enumerate(scheme.levels)
-            if scheme.tiers[k] == 2 and not lev.lumped]
+    cols = [SublevelId("6S1/2", f=lev.f, mf=lev.mf) for lev in uppers]
     cols = [c for c in cols if c in table.cols]
     if not cols:
-        raise ConfigError("reservoir decay needs upper levels with "
-                          "effective-branching columns")
+        raise ConfigError("no effective-branching column for upper levels "
+                          f"{[str(lev) for lev in uppers]}")
     fracs = np.mean([table.column(c) for c in cols], axis=0)
     acc: dict[int, float] = {}
     for frac, slot in zip(fracs, targets):

@@ -1,6 +1,7 @@
 """Command-line entry points: exit codes, output formats, round trips."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -129,3 +130,16 @@ def test_invert_requires_three_points(tmp_path, capsys):
     code, _, err = run(capsys, "invert", "--scan", str(path), "--e0", "1.0")
     assert code == 1
     assert "3 scan points" in err
+
+
+def test_nan_input_exits_one(tmp_path, capsys):
+    text = resources.files("vaporplate.data").joinpath("fig1-ideal.yaml") \
+        .read_text()
+    assert "rabi: 10.0" in text
+    bad = tmp_path / "nan.yaml"
+    bad.write_text(text.replace("rabi: 10.0", "rabi: .nan"))
+    code, out, err = run(capsys, "solve", "--scenario", str(bad))
+    assert code == 1 and "Rabi" in err and "nan" not in out
+    code, _, err = run(capsys, "lcr", "--preset", "fig1-ideal",
+                       "--signal-detuning", "nan")
+    assert code == 1 and "not finite" in err

@@ -1,4 +1,4 @@
-"""Velocity grids, Doppler shifts, the incremental cell solver, sweeps,
+"""Velocity grids, Doppler shifts, the per-cell solve of a sweep, sweeps,
 checkpointing, and the CSV interchange format."""
 
 import dataclasses
@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from vaporplate import (CO, COUNTER, CellSolver, ModelError,
+from vaporplate import (CO, COUNTER, ModelError,
                         VelocityGrid, build_hamiltonian, doppler_shifts,
                         load_preset, read_sweep_csv, response_from_density,
                         steady_state, sweep, thermal_rms_velocity, vectorize,
@@ -55,6 +55,10 @@ def test_velocity_grid_validation():
         VelocityGrid((0.0, 1.0), (0.5,), 403.0, 86.909, 1.0, "x")
     with pytest.raises(ModelError):
         VelocityGrid((0.0,), (0.5,), 403.0, 86.909, 1.0, "x")
+    with pytest.raises(ModelError):
+        VelocityGrid((float("nan"),), (1.0,), 403.0, 86.909, 1.0, "x")
+    with pytest.raises(ModelError, match="non-finite"):
+        VelocityGrid.gauss_hermite(400)     # hermgauss weights overflow
 
 
 def test_doppler_shift_signs():
@@ -71,7 +75,7 @@ def test_sweep_spec_rejects_non_monotone_detunings(fig7):
 
 
 # ---------------------------------------------------------------------------
-# Incremental solver correctness
+# Per-cell solve correctness
 # ---------------------------------------------------------------------------
 
 def full_rebuild_response(scn, delta_s, v, geometry=COUNTER):
@@ -87,13 +91,14 @@ def full_rebuild_response(scn, delta_s, v, geometry=COUNTER):
 
 
 def test_incremental_diagonal_update_matches_rebuild(fig7):
-    spec = small_spec(fig7, [0.0])
-    solver = CellSolver(spec)
+    """A sweep cell shifts the diagonal of the generator at rest; it must
+    equal a full rebuild at the cell's detuning and velocity."""
     rng = np.random.default_rng(12)
     for _ in range(6):
         delta_s = rng.uniform(-300.0, 300.0)
         v = rng.uniform(-400.0, 400.0)
-        fast = solver.solve_cell(delta_s, v)
+        grid = VelocityGrid((v,), (1.0,), 403.0, 86.909, 0.0, "single")
+        (fast,) = sweep(small_spec(fig7, [delta_s], grid=grid))
         slow = full_rebuild_response(fig7, delta_s, v)
         assert np.allclose(fast.as_tuple(), slow.as_tuple(),
                            rtol=1e-9, atol=1e-12)
@@ -179,6 +184,16 @@ def test_checkpoint_ignored_for_different_detunings(tmp_path, fig7):
     assert np.allclose(responses[0].as_tuple(), slow.as_tuple(), rtol=1e-9)
 
 
+def test_checkpoint_ignored_for_different_geometry(tmp_path, fig7):
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    grid = VelocityGrid.gauss_hermite(4)
+    sweep(small_spec(fig7, [0.0, 10.0], grid=grid), checkpoint=ck)
+    co = small_spec(fig7, [0.0, 10.0], grid=grid, geometry=CO)
+    resumed = sweep(co, checkpoint=ck)
+    for a, b in zip(resumed, sweep(co)):
+        assert a.as_tuple() == b.as_tuple()
+
+
 def test_csv_round_trip(tmp_path, fig7):
     spec = small_spec(fig7, [0.0, 30.0, 60.0])
     responses = sweep(spec)
@@ -198,3 +213,15 @@ def test_csv_rejects_foreign_files(tmp_path):
     path.write_text("delta,phi\n0,1\n")
     with pytest.raises(ModelError):
         read_sweep_csv(str(path))
+
+
+def test_csv_rejects_header_only_and_malformed_rows(tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), np.array([]), [])
+    with pytest.raises(ModelError, match="no data rows"):
+        read_sweep_csv(str(path))
+    header = path.read_text()
+    for row in ("0,1,2\n", "0,1,2,3,4,5,x\n"):
+        path.write_text(header + row)
+        with pytest.raises(ModelError):
+            read_sweep_csv(str(path))

@@ -261,6 +261,11 @@ def test_lsq_inversion_rejects_degenerate_schedule():
     scan = LcrScan((0.7,) * 5, (0.4,) * 5)
     with pytest.raises(InversionError, match="ill-conditioned"):
         invert_scan_lsq(scan, 1.0, 0.0)
+    # the scale is fitted too, so two distinct retardances are not enough
+    r = OpticalResponse(1.0, 0.0, 0.3, 0.1)
+    scan = synthesize_scan(r, (0.3, 1.2) * 3, 1.0)
+    with pytest.raises(InversionError, match="ill-conditioned"):
+        invert_scan_lsq(scan, 1.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
