@@ -16,8 +16,8 @@ from .doppler import (CO, COUNTER, SweepSpec, VelocityGrid, doppler_shifts,
 from .errors import (ConfigError, InversionError, ModelError, SolverError,
                      VaporplateError)
 from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
-                        build_hamiltonian, evolve, steady_state, suggest_dt,
-                        vectorize)
+                        build_hamiltonian, evolve, steady_state,
+                        steady_states, suggest_dt, vectorize)
 from .polarimetry import (DEFAULT_LCR_CALIBRATION, InversionResult,
                           LcrCalibration, LcrScan, MediumParams,
                           OpticalResponse, detector_intensity, from_circular,
@@ -41,7 +41,7 @@ __all__ = [
     "ConfigError", "InversionError", "ModelError", "SolverError",
     "VaporplateError",
     "DecayNetwork", "FieldSpec", "Liouvillian", "build_hamiltonian", "evolve",
-    "steady_state", "suggest_dt", "vectorize",
+    "steady_state", "steady_states", "suggest_dt", "vectorize",
     "DEFAULT_LCR_CALIBRATION", "InversionResult", "LcrCalibration", "LcrScan",
     "MediumParams", "OpticalResponse", "detector_intensity", "from_circular",
     "ideal_probe_state", "invert_scan", "invert_scan_lsq",

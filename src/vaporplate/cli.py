@@ -89,7 +89,7 @@ def cmd_sweep(args) -> int:
     progress = None
     if args.progress:
         def progress(done, total):
-            print(f"\r{done}/{total} detunings", end="", file=sys.stderr,
+            print(f"\r{done}/{total} velocity nodes", end="", file=sys.stderr,
                   flush=True)
     responses = sweep(spec, workers=args.workers, progress=progress,
                       checkpoint=args.checkpoint)
@@ -126,11 +126,20 @@ def cmd_lcr(args) -> int:
 def cmd_invert(args) -> int:
     rows = []
     with open(args.scan) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or line[0].isalpha():
+            if not line or line.startswith("#"):
                 continue
-            theta_deg, intensity = (float(tok) for tok in line.split(","))
+            try:
+                theta_deg, intensity = (float(tok) for tok in line.split(","))
+                finite = math.isfinite(theta_deg) and math.isfinite(intensity)
+            except ValueError:
+                if not rows and line[0].isalpha():
+                    continue            # a header before the first data row
+                finite = False
+            if not finite:
+                raise ConfigError(f"{args.scan}, line {lineno}: expected "
+                                  f"finite theta_deg,intensity, got {line!r}")
             rows.append((math.radians(theta_deg), intensity))
     if len(rows) < 3:
         raise ConfigError(f"{args.scan}: need at least 3 scan points")

@@ -1,9 +1,12 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-Each grid cell is one steady-state solve of the spec's generator with its
-detunings shifted (liouville.steady_state); parallelism is a plain
-process pool over detunings with a fixed, velocity-ordered reduction per
-detuning, so results do not depend on the worker count.
+The sweep is velocity-major: each velocity node is one call of
+liouville.steady_states, which eliminates the coordinates the signal
+detuning never moves once and then solves one small system per detuning.
+The node's rows are weight-summed into the average in grid order, on one
+worker or on a process pool over velocity nodes, so results do not depend
+on the worker count.  A checkpoint holds that partial sum and the number of
+nodes in it, so a resumed sweep continues the same sum.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
 from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
-                        build_hamiltonian, steady_state, vectorize)
+                        build_hamiltonian, steady_states, vectorize)
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
 KB = 1.380649e-23          # J/K
@@ -60,11 +63,15 @@ class VelocityGrid:
     @classmethod
     def gauss_hermite(cls, n: int, temperature: float = 403.0,
                       mass_amu: float = 86.909) -> "VelocityGrid":
-        x, w = np.polynomial.hermite.hermgauss(n)
+        # large n overflows inside hermgauss; the non-finite weights are
+        # then rejected by __post_init__ rather than warned about
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x, w = np.polynomial.hermite.hermgauss(n)
+            w = w / math.sqrt(math.pi)
+            w = w / w.sum()
         vr = thermal_rms_velocity(temperature, mass_amu)
         v = x * math.sqrt(2.0) * vr
-        w = w / math.sqrt(math.pi)
-        return cls(tuple(v), tuple(w / w.sum()), temperature, mass_amu,
+        return cls(tuple(v), tuple(w), temperature, mass_amu,
                    span=float(abs(x).max() * math.sqrt(2.0)),
                    kind="gauss_hermite")
 
@@ -113,6 +120,8 @@ class SweepSpec:
 
     def __post_init__(self):
         d = np.asarray(self.detunings, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise ModelError("detunings are not finite")
         if d.size > 1 and not (np.all(np.diff(d) > 0) or np.all(np.diff(d) < 0)):
             raise ModelError("detuning list must be strictly monotone")
         object.__setattr__(self, "detunings", d)
@@ -127,23 +136,20 @@ def _generator(spec: SweepSpec) -> Liouvillian:
     return vectorize(h, spec.scheme, spec.network)
 
 
-def _averaged_response(spec: SweepSpec, liou: Liouvillian,
-                       delta_s: float) -> OpticalResponse:
-    """Weight-average over the velocity grid, in fixed grid order."""
+def _velocity_rows(spec: SweepSpec, liou: Liouvillian, v: float
+                   ) -> np.ndarray:
+    """The response at every detuning for atoms at velocity v, one
+    (phi_plus, phi_minus, alpha_plus, alpha_minus) row per detuning."""
     pump, signal = spec.fields["pump"], spec.fields["signal"]
-    acc = np.zeros(4)
-    for v, w in zip(spec.grid.velocities, spec.grid.weights):
-        shift_p, shift_s = doppler_shifts(v, spec.geometry, pump.k, signal.k)
-        try:
-            rho = steady_state(liou, shift_p,
-                               (delta_s - signal.detuning) + shift_s)
-        except SolverError as exc:
-            raise SolverError(f"{exc} at delta_s={delta_s:g}, v={v:g}") \
-                from exc
-        r = response_from_density(rho, spec.scheme, spec.transitions, signal,
-                                  spec.medium)
-        acc += w * np.asarray(r.as_tuple())
-    return OpticalResponse(*acc)
+    shift_p, shift_s = doppler_shifts(v, spec.geometry, pump.k, signal.k)
+    try:
+        rho = steady_states(liou, shift_p,
+                            (spec.detunings - signal.detuning) + shift_s)
+    except SolverError as exc:
+        raise SolverError(f"{exc} at v={v:g}") from exc
+    r = response_from_density(rho, spec.scheme, spec.transitions, signal,
+                              spec.medium)
+    return np.column_stack(r.as_tuple())
 
 
 def _fingerprint(spec: SweepSpec, liou: Liouvillian) -> str:
@@ -162,60 +168,52 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
           checkpoint: str | None = None) -> list[OpticalResponse]:
     """Doppler-averaged responses, one per signal detuning.
 
-    Output order follows the detuning list and is independent of the worker
-    count.  With a checkpoint path, completed detunings are saved every 16
-    results and skipped on resume; a checkpoint written for a different
-    spec is ignored and its detunings are recomputed."""
-    n = len(spec.detunings)
-    results: dict[int, tuple[float, ...]] = {}
+    The average is summed over velocity nodes in grid order whatever the
+    worker count; progress(done, total) counts velocity nodes.  With a
+    checkpoint path the partial sum is saved every 16 nodes and at the end,
+    and a resumed sweep continues it, so its rows are bit-identical to an
+    uninterrupted run; a checkpoint written for a different spec, or in an
+    older format, is ignored and the sweep is recomputed."""
+    velocities, weights = spec.grid.velocities, spec.grid.weights
+    total = len(velocities)
     liou = _generator(spec)
     fingerprint = _fingerprint(spec, liou) if checkpoint else ""
+    acc = np.zeros((len(spec.detunings), 4))
+    done = 0
 
     if checkpoint and os.path.exists(checkpoint):
         with np.load(checkpoint) as data:
-            if "fingerprint" in data.files and \
+            if "nodes" in data.files and \
                     str(data["fingerprint"]) == fingerprint:
-                for idx in np.flatnonzero(data["done"]):
-                    results[int(idx)] = tuple(data["responses"][idx])
+                acc, done = data["acc"], int(data["nodes"])
 
-    todo = [i for i in range(n) if i not in results]
-    since_save = 0
+    def reduce(rows_per_node):
+        nonlocal acc, done
+        for w, rows in zip(weights[done:], rows_per_node):
+            acc += w * rows
+            done += 1
+            if checkpoint and (done % 16 == 0 or done == total):
+                _save_checkpoint(checkpoint, fingerprint, acc, done)
+            if progress:
+                progress(done, total)
 
-    def handle(idx, resp):
-        nonlocal since_save
-        results[idx] = resp.as_tuple()
-        since_save += 1
-        if progress:
-            progress(len(results), n)
-        if checkpoint and (since_save >= 16 or len(results) == n):
-            _save_checkpoint(checkpoint, fingerprint, n, results)
-            since_save = 0
-
-    average = partial(_averaged_response, spec, liou)
-    detunings = spec.detunings[todo].tolist()
+    rows_at = partial(_velocity_rows, spec, liou)
+    todo = velocities[done:]
     if workers <= 1 or len(todo) <= 1:
-        for idx, resp in zip(todo, map(average, detunings)):
-            handle(idx, resp)
+        reduce(map(rows_at, todo))
     else:
         chunk = max(1, len(todo) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, resp in zip(todo, pool.map(average, detunings,
-                                                chunksize=chunk)):
-                handle(idx, resp)
+            reduce(pool.map(rows_at, todo, chunksize=chunk))
 
-    return [OpticalResponse(*results[i]) for i in range(n)]
+    return [OpticalResponse(*row) for row in acc.tolist()]
 
 
-def _save_checkpoint(path: str, fingerprint: str, n: int,
-                     results: dict[int, tuple[float, ...]]) -> None:
-    responses = np.zeros((n, 4))
-    done = np.zeros(n, dtype=bool)
-    for idx, resp in results.items():
-        responses[idx] = resp
-        done[idx] = True
+def _save_checkpoint(path: str, fingerprint: str, acc: np.ndarray,
+                     nodes: int) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, fingerprint=fingerprint, responses=responses, done=done)
+        np.savez(fh, fingerprint=fingerprint, acc=acc, nodes=nodes)
     os.replace(tmp, path)
 
 

@@ -7,13 +7,19 @@ involving lumped reservoirs are never driven and are excluded exactly.
 The generator is homogeneous (d vec/dt = M vec, s = 0); the trace is
 imposed at solve time.  This module is the only one that knows the
 coordinate layout: `vectorize` records the index arrays and how each
-diagonal entry of M moves with extra pump and signal detuning, and
-`steady_state` is the one steady-state solve.
+diagonal entry of M moves with extra pump and signal detuning.
+`steady_state` is the dense per-cell solve and the oracle;
+`steady_states` solves many signal detunings at one pump shift by
+eliminating, once, the coordinates that the signal detuning never moves
+(a Schur complement), and falls back to `steady_state` for every cell when
+any of its checks fails; a single detuning goes to `steady_state` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +175,37 @@ class Liouvillian:
         """Time derivative of rho under this generator."""
         return self.to_matrix(self.m @ self.to_vector(rho) + self.s)
 
+    @cached_property
+    def _signal_split(self) -> "_SignalSplit":
+        """The coordinate order of steady_states, worked out once per
+        generator: the coordinates the signal detuning leaves fixed, then
+        the ones it moves."""
+        moving = self.d_signal != 0
+        order = np.concatenate([np.flatnonzero(~moving),
+                                np.flatnonzero(moving)])
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        return _SignalSplit(
+            m=self.m[np.ix_(order, order)], n_fixed=int(np.sum(~moving)),
+            d_pump=self.d_pump[order], d_moving=self.d_signal[moving],
+            trace_row=int(position[self.populations[-1]]),
+            populations=position[self.populations],
+            rows=self.rows[order], cols=self.cols[order])
+
+
+class _SignalSplit(NamedTuple):
+    """A generator with its coordinates reordered so that the ones the
+    signal detuning moves come last (see Liouvillian._signal_split)."""
+
+    m: np.ndarray
+    n_fixed: int
+    d_pump: np.ndarray
+    d_moving: np.ndarray
+    trace_row: int
+    populations: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
 
 def vectorize(h: np.ndarray, scheme: LevelScheme,
               network: DecayNetwork) -> Liouvillian:
@@ -180,7 +217,8 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
     n = scheme.n_levels
     if h.shape != (n, n):
         raise ModelError("Hamiltonian size does not match the scheme")
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
+    if not np.max(np.abs(h - h.conj().T)) <= \
+            1e-12 * max(1.0, np.max(np.abs(h))):
         raise ModelError("Hamiltonian must be Hermitian")
 
     eye = np.eye(n)
@@ -216,7 +254,7 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
 def _check_trace_preservation(liou: Liouvillian) -> None:
     pop = liou.populations
     col_sums = liou.m[pop, :].sum(axis=0)
-    if np.max(np.abs(col_sums[pop])) > 1e-10:
+    if not np.max(np.abs(col_sums[pop])) <= 1e-10:
         raise SolverError("decay network orphans population "
                           "(population column deficit)")
 
@@ -256,6 +294,99 @@ def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
     rho = liou.to_matrix(x)
     _validate_density(rho)
     return rho
+
+
+def steady_states(liou: Liouvillian, pump_shift: float,
+                  signal_shifts) -> np.ndarray:
+    """Steady states at one pump shift and each of signal_shifts, as a
+    (k, n, n) stack; cell j equals steady_state(liou, pump_shift,
+    signal_shifts[j]) to rounding.
+
+    The signal detuning moves only the coordinates S with d_signal != 0,
+    none of them a population, so the trace row stays among the fixed
+    coordinates F.  One solve of the F block against [A_FS | b_F] gives
+    Z = A_FF^-1 A_FS and y0 = A_FF^-1 b_F; each signal shift is then one
+    solve of the Schur complement A_SS + shift*diag(d_signal[S]) - A_SF Z
+    for x_S, and x_F = y0 - Z x_S.  Every cell is checked against
+    steady_state's residual bound and the density bounds of
+    _validate_density; if the elimination is singular or any cell fails a
+    check, every cell is solved by steady_state instead, which raises
+    SolverError where the generator has no valid steady state.  A single
+    shift goes straight to steady_state: the elimination costs about one
+    dense solve, so it pays from two shifts on.
+    """
+    shifts = np.asarray(signal_shifts, dtype=float)
+    rho = None
+    if len(shifts) > 1:
+        try:
+            rho = _eliminated_states(liou, pump_shift, shifts)
+        except np.linalg.LinAlgError:
+            pass
+    if rho is None:
+        rho = np.empty((len(shifts), liou.n_levels, liou.n_levels),
+                       dtype=complex)
+        for j, shift in enumerate(shifts):
+            rho[j] = steady_state(liou, pump_shift, shift)
+    return rho
+
+
+def _eliminated_states(liou: Liouvillian, pump_shift: float,
+                       shifts: np.ndarray) -> np.ndarray | None:
+    """steady_states by elimination; None if any cell fails a check."""
+    split = liou._signal_split
+    nf, row = split.n_fixed, split.trace_row
+    a = split.m.copy()
+    diag = np.arange(len(a))
+    a[diag, diag] += split.d_pump * pump_shift
+    saved_row = a[row].copy()
+    a[row] = 0.0
+    a[row, split.populations] = 1.0
+
+    # [Z | y0] = A_FF^-1 [A_FS | b_F];  [Sc | c] = [A_SS | 0] - A_SF [Z | y0]
+    ns = len(a) - nf
+    rhs = np.zeros((nf, ns + 1), dtype=complex)
+    rhs[:, :ns] = a[:nf, nf:]
+    rhs[row, ns] = 1.0
+    zy = np.linalg.solve(a[:nf, :nf], rhs)
+    sc = -(a[nf:, :nf] @ zy)
+    sc[:, :ns] += a[nf:, nf:]
+    c, sc = sc[:, ns].copy(), sc[:, :ns]
+
+    moving = np.arange(ns)
+    base = sc[moving, moving].copy()
+    x = np.empty((len(a), len(shifts)), dtype=complex)
+    for j, shift in enumerate(shifts):
+        sc[moving, moving] = base + split.d_moving * shift
+        x[nf:, j] = np.linalg.solve(sc, c)
+    x[:nf] = zy[:, ns:] - zy[:, :ns] @ x[nf:]
+
+    # residual against the true generator: the trace row is the saved one
+    # and the signal shift adds d_signal * shift on the moving diagonal
+    r = a @ x
+    r[row] = saved_row @ x
+    r[nf:] += split.d_moving[:, None] * shifts * x[nf:]
+    resid = np.max(np.abs(r), axis=0)
+    ok = resid <= 1e-9
+    if not np.all(ok):
+        # steady_state's bound 1e-9 * max|A| over each cell's own matrix,
+        # which differs from `a` only on the moving diagonal
+        mag = np.abs(a)
+        mag[nf + moving, nf + moving] = 0.0
+        cell_diag = a[nf + moving, nf + moving] + \
+            np.multiply.outer(shifts, split.d_moving)
+        cell_max = np.maximum(np.max(mag),
+                              np.max(np.abs(cell_diag), axis=1, initial=0.0))
+        ok |= resid <= 1e-9 * cell_max
+
+    rho = np.zeros((len(shifts), liou.n_levels, liou.n_levels),
+                   dtype=complex)
+    rho[:, split.rows, split.cols] = x.T
+    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
+    pops = np.diagonal(rho, axis1=1, axis2=2).real
+    ok &= herm <= 1e-10
+    ok &= np.abs(np.sum(pops, axis=1) - 1.0) <= 1e-8
+    ok &= np.min(pops, axis=1) >= -1e-8
+    return rho if np.all(ok) else None
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

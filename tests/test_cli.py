@@ -132,6 +132,19 @@ def test_invert_requires_three_points(tmp_path, capsys):
     assert "3 scan points" in err
 
 
+def test_invert_rejects_malformed_rows(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    for row in ("30,x", "30,0.7,1", "x,0.7", "nan,0.7", "30,inf"):
+        path.write_text(f"10,0.5\n20,0.6\n{row}\n")
+        code, out, err = run(capsys, "invert", "--scan", str(path),
+                             "--e0", "1.0")
+        assert code == 1 and out == ""
+        assert f"{path}, line 3" in err and "theta_deg,intensity" in err
+    path.write_text("nan,0.2\n10,0.5\n20,0.6\n30,0.7\n")   # not a header
+    code, _, err = run(capsys, "invert", "--scan", str(path), "--e0", "1.0")
+    assert code == 1 and f"{path}, line 1" in err
+
+
 def test_nan_input_exits_one(tmp_path, capsys):
     text = resources.files("vaporplate.data").joinpath("fig1-ideal.yaml") \
         .read_text()

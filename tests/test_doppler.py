@@ -2,6 +2,7 @@
 checkpointing, and the CSV interchange format."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vaporplate import (CO, COUNTER, ModelError,
                         load_preset, read_sweep_csv, response_from_density,
                         steady_state, sweep, thermal_rms_velocity, vectorize,
                         write_sweep_csv)
+from vaporplate import liouville
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +59,10 @@ def test_velocity_grid_validation():
         VelocityGrid((0.0,), (0.5,), 403.0, 86.909, 1.0, "x")
     with pytest.raises(ModelError):
         VelocityGrid((float("nan"),), (1.0,), 403.0, 86.909, 1.0, "x")
-    with pytest.raises(ModelError, match="non-finite"):
-        VelocityGrid.gauss_hermite(400)     # hermgauss weights overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the overflow must not warn first
+        with pytest.raises(ModelError, match="non-finite"):
+            VelocityGrid.gauss_hermite(400)     # hermgauss weights overflow
 
 
 def test_doppler_shift_signs():
@@ -72,6 +76,12 @@ def test_doppler_shift_signs():
 def test_sweep_spec_rejects_non_monotone_detunings(fig7):
     with pytest.raises(ModelError, match="monotone"):
         small_spec(fig7, [0.0, 2.0, 1.0])
+
+
+def test_sweep_spec_rejects_non_finite_detunings(fig7):
+    for bad in ([float("nan")], [0.0, float("inf")]):
+        with pytest.raises(ModelError, match="finite"):
+            small_spec(fig7, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +112,34 @@ def test_incremental_diagonal_update_matches_rebuild(fig7):
         slow = full_rebuild_response(fig7, delta_s, v)
         assert np.allclose(fast.as_tuple(), slow.as_tuple(),
                            rtol=1e-9, atol=1e-12)
+
+
+def no_dense_fallback(*args, **kwargs):
+    raise AssertionError("the elimination fell back to the dense solve")
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp",
+                                    "fig7-reduced15", "fig7-full"])
+def test_sweep_rows_match_rebuild_on_random_cells(preset, geometry,
+                                                  monkeypatch):
+    """Each velocity node eliminates the fixed block once and then solves
+    every detuning; every cell must equal a full rebuild, and none may
+    need the dense fallback."""
+    scn = load_preset(preset)
+    rng = np.random.default_rng(13)
+    for _ in range(2):
+        v = rng.uniform(-400.0, 400.0)
+        detunings = np.sort(rng.uniform(-600.0, 600.0, 3))
+        grid = VelocityGrid((v,), (1.0,), 403.0, 86.909, 0.0, "single")
+        with monkeypatch.context() as patch:
+            patch.setattr(liouville, "steady_state", no_dense_fallback)
+            rows = sweep(small_spec(scn, detunings, grid=grid,
+                                    geometry=geometry))
+        for d, fast in zip(detunings, rows):
+            slow = full_rebuild_response(scn, d, v, geometry)
+            assert np.allclose(fast.as_tuple(), slow.as_tuple(),
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_degenerate_grid_sweep_equals_direct_solve(fig7):
@@ -157,22 +195,49 @@ def test_sweep_worker_count_does_not_change_output(fig7):
 
 
 def test_sweep_progress_callback(fig7):
-    spec = small_spec(fig7, [0.0, 10.0])
+    spec = small_spec(fig7, [0.0, 10.0], grid=VelocityGrid.gauss_hermite(3))
     seen = []
     sweep(spec, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 2), (2, 2)]
+    assert seen == [(1, 3), (2, 3), (3, 3)]     # velocity nodes
+
+
+class Interrupt(Exception):
+    pass
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path, fig7):
-    spec = small_spec(fig7, np.linspace(0.0, 50.0, 6))
+    spec = small_spec(fig7, np.linspace(0.0, 50.0, 6),
+                      grid=VelocityGrid.uniform(40))
     ck = str(tmp_path / "sweep.ckpt.npz")
     reference = sweep(spec)
-    # run the first chunk only, then resume with the checkpoint present
-    partial_spec = dataclasses.replace(spec, detunings=spec.detunings)
-    sweep(partial_spec, checkpoint=ck)
-    resumed = sweep(spec, checkpoint=ck)
+
+    def stop_after_20(done, total):
+        if done == 20:
+            raise Interrupt
+    with pytest.raises(Interrupt):
+        sweep(spec, progress=stop_after_20, checkpoint=ck)
+    seen = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == list(range(17, 41))      # saved after node 16
     for a, b in zip(reference, resumed):
-        assert np.allclose(a.as_tuple(), b.as_tuple(), atol=1e-15)
+        assert a.as_tuple() == b.as_tuple()     # bit-identical
+
+
+def test_checkpoint_in_per_detuning_format_is_recomputed(tmp_path, fig7):
+    spec = small_spec(fig7, [0.0, 10.0], grid=VelocityGrid.gauss_hermite(4))
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    sweep(spec, checkpoint=ck)
+    with np.load(ck) as data:
+        fingerprint = data["fingerprint"]
+    np.savez(ck, fingerprint=fingerprint, responses=np.ones((2, 4)),
+             done=np.ones(2, dtype=bool))
+    seen = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == [1, 2, 3, 4]
+    for a, b in zip(resumed, sweep(spec)):
+        assert a.as_tuple() == b.as_tuple()
 
 
 def test_checkpoint_ignored_for_different_detunings(tmp_path, fig7):

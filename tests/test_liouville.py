@@ -8,7 +8,8 @@ import pytest
 from vaporplate import (DecayNetwork, DecayParams, FieldSpec, LevelScheme,
                         Manifold, ModelError, SolverError, SublevelId,
                         TransitionEntry, TransitionTable, build_hamiltonian,
-                        evolve, steady_state, suggest_dt, vectorize)
+                        evolve, steady_state, steady_states, suggest_dt,
+                        vectorize)
 
 
 def two_level(rabi=1.0, detuning=0.0, gamma=1.0):
@@ -151,6 +152,17 @@ def test_orphaning_network_raises():
         vectorize(h, scheme, Leaky(bad.channels, 2))
 
 
+def test_vectorize_rejects_nan():
+    scheme, table, fields, network = two_level()
+    h = build_hamiltonian(scheme, table, fields)
+    h[0, 1] = h[1, 0] = np.nan
+    with pytest.raises(ModelError, match="Hermitian"):
+        vectorize(h, scheme, network)
+    nan_rate = DecayNetwork.from_dict({1: [(0, float("nan"))]}, 2)
+    with pytest.raises(SolverError, match="orphan"):
+        vectorize(build_hamiltonian(scheme, table, fields), scheme, nan_rate)
+
+
 def test_network_validation():
     with pytest.raises(ModelError):
         DecayNetwork(((5, ((0, 1.0),)),), 2)
@@ -189,6 +201,20 @@ def test_non_finite_steady_state_raises():
     liou, _, _ = two_level_liouvillian()
     with pytest.raises(SolverError, match="not finite"):
         steady_state(liou, pump_shift=float("nan"))
+    # the many-detuning kernel fails its checks and reports the dense error
+    with pytest.raises(SolverError, match="not finite"):
+        steady_states(liou, float("nan"), [0.0, 1.0])
+
+
+def test_steady_states_without_signal_coordinates():
+    """A generator the signal detuning does not move: every shift gives the
+    dense steady state, and no shift gives an empty stack."""
+    liou, _, _ = two_level_liouvillian(1.7, -0.4, 0.8)
+    stack = steady_states(liou, 0.9, [-1.0, 2.0])
+    for rho in stack:
+        assert np.allclose(rho, steady_state(liou, pump_shift=0.9),
+                           atol=1e-12)
+    assert steady_states(liou, 0.9, []).shape == (0, 2, 2)
 
 
 def test_steady_state_scale_invariance():
@@ -211,6 +237,8 @@ def test_nonunique_steady_state_raises():
     liou = vectorize(h, scheme, network)
     with pytest.raises(SolverError, match="non-unique"):
         steady_state(liou)
+    with pytest.raises(SolverError, match="non-unique"):
+        steady_states(liou, 0.0, [0.0, 1.0])
 
 
 def test_density_validation_tolerances():
