@@ -8,8 +8,8 @@ dichroism into detector signals and back.
 
 from .atomic import (BranchingTable, DecayParams, LevelScheme, Manifold,
                      SublevelId, TransitionEntry, TransitionTable,
-                     decay_distribution, derive_transitions,
-                     effective_branching, load_table1, relative_strength)
+                     decay_distribution, derive_transitions, load_table1,
+                     relative_strength)
 from .doppler import (CO, COUNTER, SweepSpec, VelocityGrid, doppler_shifts,
                       read_sweep_csv, sweep, thermal_rms_velocity,
                       write_sweep_csv)
@@ -34,7 +34,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BranchingTable", "DecayParams", "LevelScheme", "Manifold", "SublevelId",
     "TransitionEntry", "TransitionTable", "decay_distribution",
-    "derive_transitions", "effective_branching", "load_table1",
+    "derive_transitions", "load_table1",
     "relative_strength",
     "CO", "COUNTER", "SweepSpec", "VelocityGrid", "doppler_shifts",
     "read_sweep_csv", "sweep", "thermal_rms_velocity", "write_sweep_csv",

@@ -3,15 +3,19 @@
 All rates are expressed in units of the intermediate-manifold linewidth
 (gamma_a = 1).  Relative dipole amplitudes between hyperfine sublevels are
 computed from standard angular-momentum coupling (6j recoupling times a
-Clebsch-Gordan factor); decay distributions follow from the squared
-amplitudes normalized to the level's total decay rate.
+Clebsch-Gordan factor), both from Racah's closed-form sums evaluated in
+exact rational arithmetic, so each amplitude is rounded once, at its final
+square root.  Decay distributions follow from the squared amplitudes
+normalized to the level's total decay rate.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,27 +26,67 @@ from .errors import ModelError
 # Angular momentum
 # ---------------------------------------------------------------------------
 
-def _half(x: float):
-    """Represent a (half-)integer angular momentum exactly."""
-    from sympy import Rational
+# Largest j, nuclear spin or F accepted anywhere: far above any atomic
+# level, and it keeps the Racah sums and the number of sublevels small.
+MAX_ANGULAR_MOMENTUM = 20
 
-    r = Rational(round(2 * x), 2)
-    if abs(float(r) - x) > 1e-9:
-        raise ValueError(f"not a half-integer angular momentum: {x}")
-    return r
+
+def _is_angular_momentum(x) -> bool:
+    """True for a half-integer in [0, MAX_ANGULAR_MOMENTUM] (NaN is not)."""
+    return 0 <= x <= MAX_ANGULAR_MOMENTUM and 2 * x == round(2 * x)
+
+
+# Racah's closed forms (G. Racah, Phys. Rev. 62, 438 (1942)) in exact
+# rationals.  Arguments are doubled angular momenta, so all of them are ints;
+# each helper returns the signed square s of its coefficient, which stands
+# for sign(s) * sqrt(|s|).  Signed squares multiply like the coefficients.
+
+def _triangle(a: int, b: int, c: int) -> Fraction:
+    """Racah's Delta(abc), or 0 unless (a, b, c) close a triangle."""
+    if (a + b + c) % 2 or a > b + c or b > c + a or c > a + b:
+        return Fraction(0)
+    f = math.factorial
+    return Fraction(f((a + b - c) // 2) * f((a - b + c) // 2)
+                    * f((b + c - a) // 2), f((a + b + c) // 2 + 1))
+
+
+def _cg_sq(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> Fraction:
+    """Signed square of <j1 m1; j2 m2 | j m>, for m1 + m2 = m and every
+    |m| <= j with j - m even (the caller checks)."""
+    f = math.factorial
+    a, b, c = (j1 + j2 - j) // 2, (j1 - m1) // 2, (j2 + m2) // 2
+    d, e = (j - j2 + m1) // 2, (j - j1 - m2) // 2
+    s = sum(Fraction((-1) ** k, f(k) * f(a - k) * f(b - k) * f(c - k)
+                     * f(d + k) * f(e + k))
+            for k in range(max(0, -d, -e), min(a, b, c) + 1))
+    norm = math.prod(f((jj + mm) // 2) * f((jj - mm) // 2)
+                     for jj, mm in ((j1, m1), (j2, m2), (j, m)))
+    return (j + 1) * _triangle(j1, j2, j) * norm * s * abs(s)
+
+
+def _sixj_sq(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int
+             ) -> Fraction:
+    """Signed square of the 6j symbol {j1 j2 j3; j4 j5 j6}."""
+    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
+    f = math.factorial
+    lows = [sum(t) // 2 for t in triads]
+    highs = [(j1 + j2 + j4 + j5) // 2, (j2 + j3 + j5 + j6) // 2,
+             (j3 + j1 + j6 + j4) // 2]
+    s = sum(Fraction((-1) ** t * f(t + 1), math.prod(f(t - x) for x in lows)
+                     * math.prod(f(y - t) for y in highs))
+            for t in range(max(lows), min(highs) + 1))
+    return math.prod(_triangle(*t) for t in triads) * s * abs(s)
 
 
 @functools.lru_cache(maxsize=None)
 def _coupling_amplitude(f_upper, mf_upper, f_lower, mf_lower, q,
                         j_upper, j_lower, nuclear_spin) -> float:
-    from sympy.physics.wigner import clebsch_gordan, wigner_6j
-    from sympy import sqrt
-
-    ju, jl, ii = _half(j_upper), _half(j_lower), _half(nuclear_spin)
-    six = wigner_6j(jl, ju, 1, f_upper, f_lower, ii)
-    cg = clebsch_gordan(f_lower, 1, f_upper, mf_lower, q, mf_upper)
-    amp = sqrt((2 * f_lower + 1) * (2 * jl + 1)) * six * cg
-    return float(amp)
+    fu, mu, fl, ml, q, ju, jl, ii = (round(2 * x) for x in (
+        f_upper, mf_upper, f_lower, mf_lower, q, j_upper, j_lower,
+        nuclear_spin))
+    sq = (fl + 1) * (jl + 1) * _sixj_sq(jl, ju, 2, fu, fl, ii) \
+        * _cg_sq(fl, ml, 2, q, fu, mu)
+    return math.copysign(math.sqrt(abs(sq)), sq)
 
 
 def relative_strength(f_upper: int, mf_upper: int, f_lower: int, mf_lower: int,
@@ -53,7 +97,8 @@ def relative_strength(f_upper: int, mf_upper: int, f_lower: int, mf_lower: int,
     The amplitude is sqrt((2F_l+1)(2J_l+1)) * 6j{J_l J_u 1; F_u F_l I} * CG,
     which makes squared amplitudes, normalized per decaying level, equal to
     decay branching fractions.  Returns 0 when the selection rule
-    q = mF_upper - mF_lower is violated.
+    q = mF_upper - mF_lower is violated or the angular momenta do not
+    couple.
     """
     if abs(mf_upper) > f_upper or abs(mf_lower) > f_lower:
         raise ValueError(
@@ -61,6 +106,10 @@ def relative_strength(f_upper: int, mf_upper: int, f_lower: int, mf_lower: int,
             f"or ({f_lower},{mf_lower})")
     if q not in (-1, 0, 1):
         raise ValueError(f"polarization index must be -1, 0 or +1, got {q}")
+    for x in (f_upper, f_lower, j_upper, j_lower, nuclear_spin):
+        if not _is_angular_momentum(x):
+            raise ValueError(f"not a half-integer angular momentum in "
+                             f"[0, {MAX_ANGULAR_MOMENTUM}]: {x}")
     if q != mf_upper - mf_lower:
         return 0.0
     return _coupling_amplitude(f_upper, mf_upper, f_lower, mf_lower, q,
@@ -117,6 +166,27 @@ class Manifold:
     mf_values: tuple[int, ...] | None = None
     decays_to: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        name = f"manifold {self.label}"
+        if self.tier not in (0, 1, 2):
+            raise ModelError(f"{name}: tier must be 0, 1 or 2, "
+                             f"got {self.tier!r}")
+        if not _is_angular_momentum(self.j):
+            raise ModelError(f"{name}: j must be a half-integer in "
+                             f"[0, {MAX_ANGULAR_MOMENTUM}], got {self.j!r}")
+        if not self.f_values or not all(
+                isinstance(f, int) and _is_angular_momentum(f)
+                for f in self.f_values):
+            raise ModelError(f"{name}: F values must be integers in "
+                             f"[0, {MAX_ANGULAR_MOMENTUM}], "
+                             f"got {self.f_values!r}")
+        if not self.lumped and len(self.f_values) != 1:
+            raise ModelError(f"{name}: a resolved manifold has exactly one "
+                             f"F, got {self.f_values!r}")
+        if not np.isfinite(self.offset):
+            raise ModelError(f"{name}: offset must be finite, "
+                             f"got {self.offset!r}")
+
     def sublevels(self) -> tuple[SublevelId, ...]:
         if self.lumped:
             return (SublevelId(self.label, lumped=True),)
@@ -136,8 +206,10 @@ class DecayParams:
     d1_d2_ratio: float = 0.5
 
     def __post_init__(self):
-        if min(self.gamma_a, self.gamma_b, self.gamma_g, self.d1_d2_ratio) < 0:
-            raise ModelError("decay rates and branching ratios must be >= 0")
+        if not all(0 <= x < np.inf for x in (self.gamma_a, self.gamma_b,
+                                              self.gamma_g, self.d1_d2_ratio)):
+            raise ModelError("decay rates and branching ratios must be "
+                             "finite and >= 0")
         if not (self.gamma_g < self.gamma_b < self.gamma_a or self.gamma_b == 0):
             warnings.warn(
                 "decay rates outside the usual regime gamma_g << gamma_b < gamma_a",
@@ -158,6 +230,18 @@ class LevelScheme:
     tiers: tuple[int, ...]          # per level
     decay: DecayParams
     nuclear_spin: float = 1.5
+
+    def __post_init__(self):
+        if not _is_angular_momentum(self.nuclear_spin):
+            raise ModelError(f"nuclear spin must be a half-integer in "
+                             f"[0, {MAX_ANGULAR_MOMENTUM}], "
+                             f"got {self.nuclear_spin!r}")
+        labels = {m.label for m in self.manifolds}
+        for man in self.manifolds:
+            unknown = sorted(set(man.decays_to) - labels)
+            if unknown:
+                raise ModelError(f"manifold {man.label} decays to unknown "
+                                 f"manifolds {unknown}")
 
     @classmethod
     def build(cls, manifolds, decay: DecayParams,
@@ -207,6 +291,9 @@ class TransitionEntry:
     field: str                  # "pump" or "signal"
 
     def __post_init__(self):
+        if not np.isfinite(self.strength):
+            raise ModelError(f"strength of {self.upper} <- {self.lower} "
+                             f"must be finite, got {self.strength!r}")
         if not self.upper.lumped and not self.lower.lumped:
             if self.q != self.upper.mf - self.lower.mf:
                 raise ModelError(
@@ -332,19 +419,6 @@ class BranchingTable:
 
     def column(self, col: SublevelId) -> np.ndarray:
         return self.fractions[:, self.cols.index(col)]
-
-
-def effective_branching(upper_to_mid: BranchingTable,
-                        mid_to_ground: BranchingTable) -> BranchingTable:
-    """Compose branching through an intermediate manifold.
-
-    The result's (ground, upper) fraction is the product of column-stochastic
-    matrices; mid levels must match between the two tables.
-    """
-    if upper_to_mid.rows != mid_to_ground.cols:
-        raise ModelError("intermediate levels of the two tables do not match")
-    frac = mid_to_ground.fractions @ upper_to_mid.fractions
-    return BranchingTable(mid_to_ground.rows, upper_to_mid.cols, frac)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,13 @@ from .polarimetry import (LcrScan, detector_intensity, invert_scan_lsq,
 from .scenario import PRESETS, Scenario, load_preset, load_scenario
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--preset", choices=PRESETS, help="bundled scenario")
@@ -208,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--points", type=int, help="override detuning count")
-    p.add_argument("--velocity-points", type=int)
+    p.add_argument("--points", type=_positive_int,
+                   help="override detuning count")
+    p.add_argument("--velocity-points", type=_positive_int)
     p.add_argument("--geometry", choices=(COUNTER, CO))
     p.add_argument("--pump-detuning", type=float, metavar="GAMMA_A")
     p.add_argument("--checkpoint", metavar="NPZ")

@@ -37,6 +37,9 @@ CSV_MAGIC = "# vaporplate sweep CSV v1"
 
 def thermal_rms_velocity(temperature: float, mass_amu: float) -> float:
     """1-D RMS velocity (m/s) of the Maxwell distribution."""
+    if not (0 < temperature < math.inf and 0 < mass_amu < math.inf):
+        raise ModelError(f"temperature ({temperature!r} K) and mass "
+                         f"({mass_amu!r} amu) must be finite and positive")
     return math.sqrt(KB * temperature / (mass_amu * AMU))
 
 
@@ -63,6 +66,7 @@ class VelocityGrid:
     @classmethod
     def gauss_hermite(cls, n: int, temperature: float = 403.0,
                       mass_amu: float = 86.909) -> "VelocityGrid":
+        _check_nodes(n)
         # large n overflows inside hermgauss; the non-finite weights are
         # then rejected by __post_init__ rather than warned about
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -78,6 +82,7 @@ class VelocityGrid:
     @classmethod
     def uniform(cls, n: int, temperature: float = 403.0,
                 mass_amu: float = 86.909, span: float = 4.0) -> "VelocityGrid":
+        _check_nodes(n)
         vr = thermal_rms_velocity(temperature, mass_amu)
         v = np.linspace(-span * vr, span * vr, n)
         w = np.exp(-0.5 * (v / vr) ** 2)
@@ -90,6 +95,11 @@ class VelocityGrid:
         """Single stationary atom; degenerate grid for tests and quick looks."""
         return cls((0.0,), (1.0,), temperature, mass_amu, span=0.0,
                    kind="delta")
+
+
+def _check_nodes(n: int) -> None:
+    if n < 1:
+        raise ModelError(f"a velocity grid needs at least one node, got {n}")
 
 
 def doppler_shifts(v: float, geometry: str, k_pump: float, k_signal: float
@@ -120,6 +130,8 @@ class SweepSpec:
 
     def __post_init__(self):
         d = np.asarray(self.detunings, dtype=float)
+        if d.size == 0:
+            raise ModelError("a sweep needs at least one detuning")
         if not np.all(np.isfinite(d)):
             raise ModelError("detunings are not finite")
         if d.size > 1 and not (np.all(np.diff(d) > 0) or np.all(np.diff(d) < 0)):
@@ -206,6 +218,8 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reduce(pool.map(rows_at, todo, chunksize=chunk))
 
+    if not np.all(np.isfinite(acc)):
+        raise SolverError("the Doppler-averaged response is not finite")
     return [OpticalResponse(*row) for row in acc.tolist()]
 
 

@@ -171,10 +171,6 @@ class Liouvillian:
         rho[self.rows, self.cols] = x
         return rho
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Time derivative of rho under this generator."""
-        return self.to_matrix(self.m @ self.to_vector(rho) + self.s)
-
     @cached_property
     def _signal_split(self) -> "_SignalSplit":
         """The coordinate order of steady_states, worked out once per

@@ -77,11 +77,19 @@ class MediumParams:
     b_min_sq: float             # decay fraction of the weakest channel
 
     def __post_init__(self):
-        if min(self.n_atom, self.length, self.wavelength_nm, self.gamma,
-               self.omega_min) <= 0:
-            raise ModelError("medium parameters must be positive")
+        if not all(0 < x < math.inf for x in (
+                self.n_atom, self.length, self.wavelength_nm, self.gamma,
+                self.omega_min)):
+            raise ModelError("medium parameters must be finite and positive")
         if not 0 < self.b_min_sq <= 1:
             raise ModelError("b_min_sq must lie in (0, 1]")
+        try:
+            scale = self.k_cm * self.length * self.beta
+        except OverflowError:       # the cube of the wavelength
+            scale = math.inf
+        if not scale < math.inf:
+            raise ModelError("medium parameters overflow the response scale "
+                             "k * length * beta")
 
     @property
     def wavelength_cm(self) -> float:
@@ -219,6 +227,8 @@ class LcrCalibration:
         t = np.asarray(self.thetas)
         if v.size != t.size or v.size < 2:
             raise ModelError("calibration needs matching voltage/theta arrays")
+        if not np.all(np.isfinite(v)) or not np.all(np.isfinite(t)):
+            raise ModelError("calibration voltages and thetas must be finite")
         if np.any(np.diff(v) <= 0):
             raise ModelError("calibration voltages must be strictly increasing")
         dt = np.diff(t)

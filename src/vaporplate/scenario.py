@@ -28,6 +28,10 @@ SCHEMA_VERSION = 1
 PRESETS = ("fig1-ideal", "fig7-full", "fig7-reduced15", "fig8-qwp",
            "two-level-oracle")
 
+# Most detunings or velocity nodes a scenario may ask for; a larger count is
+# a typo (1e5 x 1e5 cells would take weeks), not a sweep.
+MAX_POINTS = 100_000
+
 
 def _check_keys(mapping, allowed, context):
     if not isinstance(mapping, dict):
@@ -37,12 +41,37 @@ def _check_keys(mapping, allowed, context):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _number(value, context) -> float:
+    """A number (or numeric string) as a float.  NaN and inf pass: the
+    model objects reject them with the range they expect."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") \
+            from None
+
+
+def _integer(value, context) -> int:
+    number = _number(value, context)
+    if not number.is_integer():
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    return int(number)
+
+
+def _count(value, context) -> int:
+    n = _integer(value, context)
+    if not 1 <= n <= MAX_POINTS:
+        raise ConfigError(f"{context} must lie in [1, {MAX_POINTS}], "
+                          f"got {n}")
+    return n
+
+
 def _freq(value, gamma_a_mhz, context) -> float:
     """Frequency-like value in gamma_a units."""
     if isinstance(value, (int, float)):
         return float(value)
     _check_keys(value, {"value", "unit"}, context)
-    v = float(value["value"])
+    v = _number(value.get("value"), f"{context}.value")
     unit = value.get("unit", "gamma_a")
     if unit == "gamma_a":
         return v
@@ -85,10 +114,10 @@ class SweepSettings:
 
     def detunings(self, points: int | None = None) -> np.ndarray:
         return np.linspace(self.detuning_start, self.detuning_stop,
-                           points or self.detuning_points)
+                           self.detuning_points if points is None else points)
 
     def grid(self, points: int | None = None) -> VelocityGrid:
-        n = points or self.velocity_points
+        n = self.velocity_points if points is None else points
         if self.velocity_kind == "gauss_hermite":
             return VelocityGrid.gauss_hermite(n, self.temperature,
                                               self.mass_amu)
@@ -154,7 +183,10 @@ def scenario_from_config(cfg: dict, name: str = "<config>") -> Scenario:
     for key in ("scheme", "decay", "fields"):
         if key not in cfg:
             raise ConfigError(f"{name}: missing section {key!r}")
-    gamma_a_mhz = float(cfg.get("gamma_a_mhz", 5.75))
+    gamma_a_mhz = _number(cfg.get("gamma_a_mhz", 5.75), "gamma_a_mhz")
+    if not 0 < gamma_a_mhz < math.inf:
+        raise ConfigError(f"gamma_a_mhz must be finite and positive, "
+                          f"got {gamma_a_mhz!r}")
     label = cfg.get("name", name)
 
     scheme = _build_scheme(cfg["scheme"], cfg["decay"], gamma_a_mhz)
@@ -180,19 +212,21 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
         if "f" in m and "f_values" in m:
             raise ConfigError(f"{ctx}: give either f or f_values")
         if "f" in m:
-            f_values = (int(m["f"]),)
+            f_values = (_integer(m["f"], f"{ctx}.f"),)
         elif "f_values" in m:
-            f_values = tuple(int(f) for f in m["f_values"])
+            f_values = tuple(_integer(f, f"{ctx}.f_values")
+                             for f in m["f_values"])
         else:
             raise ConfigError(f"{ctx}: f (or f_values) is required")
         manifolds.append(Manifold(
             label=str(m["label"]),
-            tier=int(m["tier"]),
-            j=float(m.get("j", 0.5)),
+            tier=_integer(m["tier"], f"{ctx}.tier"),
+            j=_number(m.get("j", 0.5), f"{ctx}.j"),
             f_values=f_values,
             offset=_freq(m.get("offset", 0.0), gamma_a_mhz, f"{ctx}.offset"),
             lumped=lumped,
-            mf_values=tuple(int(x) for x in m["mf_values"])
+            mf_values=tuple(_integer(x, f"{ctx}.mf_values")
+                            for x in m["mf_values"])
             if m.get("mf_values") is not None else None,
             decays_to=tuple(m.get("decays_to", ())),
         ))
@@ -204,10 +238,13 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
                       "decay.gamma_b"),
         gamma_g=_freq(decay_node.get("gamma_g", 0.0), gamma_a_mhz,
                       "decay.gamma_g"),
-        d1_d2_ratio=float(decay_node.get("d1_d2_ratio", 0.5)),
+        d1_d2_ratio=_number(decay_node.get("d1_d2_ratio", 0.5),
+                            "decay.d1_d2_ratio"),
     )
-    return LevelScheme.build(manifolds, params,
-                             nuclear_spin=float(node.get("nuclear_spin", 1.5)))
+    return LevelScheme.build(
+        manifolds, params,
+        nuclear_spin=_number(node.get("nuclear_spin", 1.5),
+                             "scheme.nuclear_spin"))
 
 
 _DECAY_KEYS = {"gamma_a", "gamma_b", "gamma_g", "d1_d2_ratio",
@@ -226,7 +263,10 @@ def _parse_level(scheme: LevelScheme, text: str, context: str) -> SublevelId:
         if man.lumped:
             raise ConfigError(f"{context}: {man_label} is lumped, drop the mF")
         (f,) = man.f_values
-        return SublevelId(man_label, f=f, mf=int(mf_text))
+        level = SublevelId(man_label, f=f, mf=_integer(mf_text, context))
+        if level not in scheme.index:
+            raise ConfigError(f"{context}: the scheme has no level {level}")
+        return level
     try:
         man = scheme.manifold(text)
     except KeyError:
@@ -252,8 +292,8 @@ def _build_transitions(node, scheme: LevelScheme) -> TransitionTable:
         entries.append(TransitionEntry(
             upper=_parse_level(scheme, e["upper"], ctx),
             lower=_parse_level(scheme, e["lower"], ctx),
-            q=int(e["q"]),
-            strength=float(e.get("strength", 1.0)),
+            q=_integer(e["q"], f"{ctx}.q"),
+            strength=_number(e.get("strength", 1.0), f"{ctx}.strength"),
             field=str(e["field"])))
     return TransitionTable(tuple(entries))
 
@@ -263,7 +303,7 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
     chans: dict[int, list[tuple[int, float]]] = {}
 
     def add(src: int, tgt: int, rate: float):
-        if rate > 0:
+        if rate != 0:       # negative and NaN rates go on to be rejected
             chans.setdefault(src, []).append((tgt, rate))
 
     if "explicit_channels" in node:
@@ -379,10 +419,15 @@ def _build_fields(node, gamma_a_mhz) -> dict[str, FieldSpec]:
         _check_keys(pol, {"plus", "minus"}, f"{ctx}.polarization")
         a = _complexish(pol.get("plus", 0.0), f"{ctx}.polarization.plus")
         b = _complexish(pol.get("minus", 0.0), f"{ctx}.polarization.minus")
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        norm = math.hypot(abs(a), abs(b))
         if norm == 0:
             raise ConfigError(f"{ctx}: polarization must be nonzero")
-        wavelength_nm = float(f.get("wavelength_nm", 0.0))
+        wavelength_nm = _number(f.get("wavelength_nm", 0.0),
+                                f"{ctx}.wavelength_nm")
+        if not 0 <= wavelength_nm < math.inf:
+            raise ConfigError(f"{ctx}.wavelength_nm must be finite and "
+                              f">= 0 (0: no Doppler shift), "
+                              f"got {wavelength_nm!r}")
         k = 1.0 / (wavelength_nm * 1e-9 * gamma_a_mhz * 1e6) \
             if wavelength_nm else 0.0
         fields[role] = FieldSpec(
@@ -401,12 +446,14 @@ def _build_medium(node, decay: DecayParams) -> MediumParams | None:
     _check_keys(node, {"n_atom_cm3", "length_cm", "wavelength_nm", "gamma",
                        "omega_min", "b_min_sq"}, "medium")
     return MediumParams(
-        n_atom=float(node["n_atom_cm3"]),
-        length=float(node["length_cm"]),
-        wavelength_nm=float(node.get("wavelength_nm", 1323.0)),
-        gamma=float(node.get("gamma", decay.gamma_b)),
-        omega_min=float(node["omega_min"]),
-        b_min_sq=float(node.get("b_min_sq", 1.0 / 12.0)))
+        n_atom=_number(node["n_atom_cm3"], "medium.n_atom_cm3"),
+        length=_number(node["length_cm"], "medium.length_cm"),
+        wavelength_nm=_number(node.get("wavelength_nm", 1323.0),
+                              "medium.wavelength_nm"),
+        gamma=_number(node.get("gamma", decay.gamma_b), "medium.gamma"),
+        omega_min=_number(node["omega_min"], "medium.omega_min"),
+        b_min_sq=_number(node.get("b_min_sq", 1.0 / 12.0),
+                         "medium.b_min_sq"))
 
 
 def _build_sweep(node) -> SweepSettings | None:
@@ -421,15 +468,19 @@ def _build_sweep(node) -> SweepSettings | None:
     if geometry not in (COUNTER, CO):
         raise ConfigError(f"sweep.geometry must be {COUNTER} or {CO}")
     return SweepSettings(
-        detuning_start=float(node["detuning_start"]),
-        detuning_stop=float(node["detuning_stop"]),
-        detuning_points=int(node.get("detuning_points", 512)),
+        detuning_start=_number(node["detuning_start"], "sweep.detuning_start"),
+        detuning_stop=_number(node["detuning_stop"], "sweep.detuning_stop"),
+        detuning_points=_count(node.get("detuning_points", 512),
+                               "sweep.detuning_points"),
         geometry=geometry,
         velocity_kind=str(vel.get("kind", "gauss_hermite")),
-        velocity_points=int(vel.get("points", 800)),
-        temperature=float(vel.get("temperature_k", 403.0)),
-        mass_amu=float(vel.get("mass_amu", 86.909)),
-        span=float(vel.get("span", 4.0)))
+        velocity_points=_count(vel.get("points", 800),
+                               "sweep.velocity.points"),
+        temperature=_number(vel.get("temperature_k", 403.0),
+                            "sweep.velocity.temperature_k"),
+        mass_amu=_number(vel.get("mass_amu", 86.909),
+                         "sweep.velocity.mass_amu"),
+        span=_number(vel.get("span", 4.0), "sweep.velocity.span"))
 
 
 def _build_analyzer(node) -> AnalyzerSettings:
@@ -440,6 +491,12 @@ def _build_analyzer(node) -> AnalyzerSettings:
     if "lcr_calibration" in node:
         c = node["lcr_calibration"]
         _check_keys(c, {"voltages", "thetas"}, "analyzer.lcr_calibration")
-        cal = LcrCalibration(tuple(float(v) for v in c["voltages"]),
-                             tuple(float(t) for t in c["thetas"]))
-    return AnalyzerSettings(float(node.get("e0", 1.0)), cal)
+        ctx = "analyzer.lcr_calibration"
+        cal = LcrCalibration(
+            tuple(_number(v, f"{ctx}.voltages") for v in c["voltages"]),
+            tuple(_number(t, f"{ctx}.thetas") for t in c["thetas"]))
+    e0 = _number(node.get("e0", 1.0), "analyzer.e0")
+    if not 0 < e0 < math.inf:
+        raise ConfigError(f"analyzer.e0 must be finite and positive, "
+                          f"got {e0!r}")
+    return AnalyzerSettings(e0, cal)

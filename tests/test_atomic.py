@@ -1,15 +1,19 @@
 """Angular-momentum amplitudes, level schemes, and branching tables."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import vaporplate
 from vaporplate import (BranchingTable, DecayParams, LevelScheme, Manifold,
                         ModelError, SublevelId, TransitionEntry,
                         TransitionTable, decay_distribution,
-                        derive_transitions, effective_branching, load_table1,
-                        relative_strength)
+                        derive_transitions, load_table1, relative_strength)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -43,6 +47,79 @@ def test_invalid_quantum_numbers_rejected():
         relative_strength(2, 0, 1, -2, 1)
     with pytest.raises(ValueError):
         relative_strength(2, 0, 2, -2, 2)
+
+
+def test_relative_strength_matches_sympy():
+    """The Racah sums against sympy's Wigner symbols, the test-only oracle,
+    over I <= 7/2, J in {1/2, 3/2}, F <= 5 and every mF and q.  Where sympy
+    refuses the couplings (a triad with a half-integer sum) the amplitude
+    is 0."""
+    from sympy import Rational, sqrt
+    from sympy.physics.wigner import clebsch_gordan, wigner_6j
+
+    worst, compared = 0.0, 0
+    for i2 in range(8):
+        spin = Rational(i2, 2)
+        for ju in (Rational(1, 2), Rational(3, 2)):
+            for jl in (Rational(1, 2), Rational(3, 2)):
+                for fu in range(6):
+                    for fl in range(6):
+                        for mu in range(-fu, fu + 1):
+                            for q in (-1, 0, 1):
+                                ml = mu - q
+                                if abs(ml) > fl:
+                                    continue
+                                a = relative_strength(
+                                    fu, mu, fl, ml, q, j_upper=float(ju),
+                                    j_lower=float(jl),
+                                    nuclear_spin=float(spin))
+                                try:
+                                    six = wigner_6j(jl, ju, 1, fu, fl, spin)
+                                except ValueError:
+                                    assert a == 0.0
+                                    continue
+                                ref = float(sqrt((2 * fl + 1) * (2 * jl + 1))
+                                            * six * clebsch_gordan(
+                                                fl, 1, fu, ml, q, mu))
+                                worst = max(worst, abs(a - ref))
+                                compared += 1
+    assert compared == 6816
+    assert worst <= 2.3e-16
+
+
+def test_presets_load_and_solve_without_sympy():
+    """sympy is a test dependency only: with it blocked, every preset loads
+    and solves, `vaporplate validate` succeeds, and no sympy module is
+    imported."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["sympy"] = None         # any import of sympy now fails
+        from vaporplate import (PRESETS, build_hamiltonian, load_preset,
+                                steady_state, vectorize)
+        from vaporplate.cli import main
+        for name in PRESETS:
+            scn = load_preset(name)
+            h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+            steady_state(vectorize(h, scn.scheme, scn.network))
+        assert main(["validate", "--preset", "fig7-full"]) == 0
+        print(sorted(m for m, mod in sys.modules.items()
+                     if m.split(".")[0] == "sympy" and mod is not None))
+    """)
+    src = os.path.dirname(os.path.dirname(vaporplate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_relative_strength_rejects_bad_angular_momenta():
+    for bad in (0.7, -0.5, float("nan"), float("inf"), 1e300):
+        with pytest.raises(ValueError, match="half-integer"):
+            relative_strength(1, 0, 2, -1, 1, j_upper=bad)
+        with pytest.raises(ValueError, match="half-integer"):
+            relative_strength(1, 0, 2, -1, 1, nuclear_spin=bad)
 
 
 def test_intermediate_f2_m0_circular_amplitudes_to_f2():
@@ -249,31 +326,6 @@ def test_branching_table_validation():
         BranchingTable(rows, cols, np.array([[1.0, 0.0]]))  # bad shape
 
 
-def test_effective_branching_composes_stochastically():
-    up = tuple(SublevelId("U", f=1, mf=m) for m in (-1, 0, 1))
-    mid = tuple(SublevelId("M", f=1, mf=m) for m in (-1, 0, 1))
-    lo = (SublevelId("L", f=0, mf=0), SublevelId("L1", lumped=True))
-    rng = np.random.default_rng(7)
-    a = rng.random((3, 3))
-    a /= a.sum(axis=0)
-    b = rng.random((2, 3))
-    b /= b.sum(axis=0)
-    composed = effective_branching(BranchingTable(mid, up, a),
-                                   BranchingTable(lo, mid, b))
-    assert composed.rows == lo and composed.cols == up
-    assert np.allclose(composed.fractions.sum(axis=0), 1.0, atol=1e-12)
-
-
-def test_effective_branching_mismatched_mid_raises():
-    up = (SublevelId("U", f=1, mf=0),)
-    mid1 = (SublevelId("M", f=1, mf=0),)
-    mid2 = (SublevelId("M", f=1, mf=1),)
-    lo = (SublevelId("L", f=0, mf=0),)
-    with pytest.raises(ModelError):
-        effective_branching(BranchingTable(mid1, up, np.array([[1.0]])),
-                            BranchingTable(lo, mid2, np.array([[1.0]])))
-
-
 # ---------------------------------------------------------------------------
 # Scheme bookkeeping
 # ---------------------------------------------------------------------------
@@ -302,6 +354,36 @@ def test_sublevel_id_validation():
         SublevelId("X", lumped=True, mf=0)
     with pytest.raises(ModelError):
         SublevelId("X")          # resolved level without F, mF
+
+
+def test_manifold_validation():
+    ok = dict(label="M", tier=1, j=0.5, f_values=(1,))
+    for bad in (dict(j=0.7), dict(j=float("inf")), dict(j=float("nan")),
+                dict(j=-0.5), dict(f_values=(-1,)), dict(f_values=(1.5,)),
+                dict(f_values=(10 ** 300,)), dict(f_values=()),
+                dict(f_values=(1, 2)), dict(tier=3),
+                dict(offset=float("nan"))):
+        with pytest.raises(ModelError, match="manifold M"):
+            Manifold(**{**ok, **bad})
+    Manifold(**{**ok, "f_values": (1, 2), "lumped": True})
+
+
+def test_scheme_rejects_bad_nuclear_spin_and_decay_targets():
+    manifolds = [Manifold("G", tier=0, j=0.5, f_values=(1,))]
+    for bad in (1.7, float("nan"), -1.0, float("inf")):
+        with pytest.raises(ModelError, match="nuclear spin"):
+            LevelScheme.build(manifolds, DecayParams(), nuclear_spin=bad)
+    manifolds.append(Manifold("E", tier=1, j=0.5, f_values=(1,),
+                              decays_to=("G", "X")))
+    with pytest.raises(ModelError, match=r"E decays to unknown .*'X'"):
+        LevelScheme.build(manifolds, DecayParams())
+
+
+def test_decay_params_reject_non_finite_rates():
+    for bad in (dict(gamma_b=float("nan")), dict(gamma_a=float("inf")),
+                dict(d1_d2_ratio=float("nan")), dict(gamma_g=-1.0)):
+        with pytest.raises(ModelError, match="finite"):
+            DecayParams(**bad)
 
 
 def test_decay_params_warns_outside_usual_regime():

@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from vaporplate import (OpticalResponse, load_preset, read_sweep_csv,
                         synthesize_scan)
@@ -118,6 +119,15 @@ def test_config_error_exits_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_sweep_point_counts_must_be_positive(tmp_path, capsys):
+    for flag in ("--points", "--velocity-points"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig1-ideal", "--out",
+                  str(tmp_path / "x.csv"), flag, "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_io_error_exits_two(capsys):
     code, _, err = run(capsys, "validate", "--scenario", "/no/such/file.yaml")
     assert code == 2
@@ -156,3 +166,72 @@ def test_nan_input_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "lcr", "--preset", "fig1-ideal",
                        "--signal-detuning", "nan")
     assert code == 1 and "not finite" in err
+
+
+def _reduced15_copy(tmp_path, edit):
+    """fig7-reduced15 written to a scenario file after edit(cfg)."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig7-reduced15.yaml").read_text())
+    edit(cfg)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+def _resolved_f_values(cfg):
+    del cfg["scheme"]["manifolds"][4]["f"]
+    cfg["scheme"]["manifolds"][4]["f_values"] = [1, 2]
+
+
+@pytest.mark.parametrize("edit", [
+    _set("scheme", "manifolds", 2, "j", 0.7),
+    _set("scheme", "manifolds", 2, "j", math.inf),
+    _set("scheme", "nuclear_spin", 1.7),
+    _set("scheme", "nuclear_spin", math.nan),
+    _set("scheme", "manifolds", 0, "f", "x"),
+    _set("scheme", "manifolds", 3, "f", -1),
+    _resolved_f_values,
+], ids=["j-0.7", "j-inf", "spin-1.7", "spin-nan", "f-x", "f-minus-1",
+        "resolved-f-values"])
+def test_bad_angular_momentum_exits_one(tmp_path, capsys, edit):
+    path = _reduced15_copy(tmp_path, edit)
+    code, out, err = run(capsys, "validate", "--scenario", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit, command, reason", [
+    (_set("medium", "n_atom_cm3", math.nan), "sweep", "medium"),
+    (_set("medium", "omega_min", math.nan), "sweep", "medium"),
+    (_set("medium", "length_cm", math.inf), "sweep", "medium"),
+    (_set("decay", "gamma_b", math.nan), "validate", "decay rates"),
+    (_set("sweep", "velocity", "temperature_k", -1.0), "sweep",
+     "temperature"),
+    (_set("sweep", "velocity", "points", 0), "validate",
+     "sweep.velocity.points"),
+    (_set("sweep", "detuning_points", 0), "validate",
+     "sweep.detuning_points"),
+], ids=["n-atom-nan", "omega-min-nan", "length-inf", "gamma-b-nan",
+        "temperature-minus-1", "velocity-points-0", "detuning-points-0"])
+def test_bad_numbers_exit_one_without_csv(tmp_path, capsys, edit, command,
+                                          reason):
+    path = _reduced15_copy(tmp_path, edit)
+    out_csv = tmp_path / "out.csv"
+    argv = ["validate", "--scenario", path] if command == "validate" else \
+        ["sweep", "--scenario", path, "--out", str(out_csv), "--points", "3",
+         "--velocity-points", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and reason in err
+    assert not out_csv.exists()

@@ -65,6 +65,15 @@ def test_velocity_grid_validation():
             VelocityGrid.gauss_hermite(400)     # hermgauss weights overflow
 
 
+def test_velocity_grid_rejects_bad_thermal_parameters():
+    for n, temperature, mass in ((0, 403.0, 86.909), (10, -1.0, 86.909),
+                                 (10, float("nan"), 86.909),
+                                 (10, 403.0, 0.0)):
+        for make in (VelocityGrid.gauss_hermite, VelocityGrid.uniform):
+            with pytest.raises(ModelError):
+                make(n, temperature, mass)
+
+
 def test_doppler_shift_signs():
     kp, ks = 0.2, 0.1
     assert doppler_shifts(100.0, COUNTER, kp, ks) == (-20.0, 10.0)
@@ -76,6 +85,11 @@ def test_doppler_shift_signs():
 def test_sweep_spec_rejects_non_monotone_detunings(fig7):
     with pytest.raises(ModelError, match="monotone"):
         small_spec(fig7, [0.0, 2.0, 1.0])
+
+
+def test_sweep_spec_needs_a_detuning(fig7):
+    with pytest.raises(ModelError, match="at least one detuning"):
+        small_spec(fig7, [])
 
 
 def test_sweep_spec_rejects_non_finite_detunings(fig7):

@@ -335,6 +335,16 @@ def test_ideal_probe_state_circular_pump_rotates_by_half_phase():
 # MediumParams
 # ---------------------------------------------------------------------------
 
+def test_medium_params_reject_non_finite_values():
+    good = (1e12, 7.5, 1323.0, 1.0, 0.1, 1.0 / 12.0)
+    for k, bad in ((0, float("nan")), (1, float("inf")), (4, float("nan")),
+                   (2, 1e300)):
+        args = list(good)
+        args[k] = bad
+        with pytest.raises(ModelError, match="finite|overflow"):
+            MediumParams(*args)
+
+
 def test_medium_params_validation_and_beta():
     with pytest.raises(ModelError):
         MediumParams(0.0, 7.5, 1323.0, 1.0, 0.1, 1.0 / 12.0)

@@ -2,12 +2,19 @@
 mapping from configuration to model objects."""
 
 import copy
+import math
+from dataclasses import replace
+from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from vaporplate import (PRESETS, ConfigError, SublevelId, load_preset,
-                        load_scenario, scenario_from_config)
+from vaporplate import (PRESETS, ConfigError, SublevelId, VaporplateError,
+                        VelocityGrid, build_hamiltonian, load_preset,
+                        load_scenario, scenario_from_config, steady_state,
+                        sweep, vectorize)
 from vaporplate.scenario import _freq
 
 
@@ -273,3 +280,55 @@ def test_medium_gamma_defaults_to_gamma_b(base_cfg):
     cfg["medium"] = {"n_atom_cm3": 1e10, "length_cm": 7.5, "omega_min": 0.1}
     scn = scenario_from_config(cfg)
     assert scn.medium.gamma == pytest.approx(0.6)
+
+
+# ---------------------------------------------------------------------------
+# Mutated presets: every bad number ends in a VaporplateError
+# ---------------------------------------------------------------------------
+
+def _preset_config(name):
+    return yaml.safe_load(resources.files("vaporplate.data")
+                          .joinpath(f"{name}.yaml").read_text())
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _numeric_leaves(child, path + (key,))
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            yield from _numeric_leaves(child, path + (k,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+_PROPERTY_PRESETS = {name: _preset_config(name)
+                     for name in ("fig7-reduced15", "fig1-ideal")}
+_MUTATIONS = [(name, path, value)
+              for name, cfg in _PROPERTY_PRESETS.items()
+              for path in _numeric_leaves(cfg)
+              for value in (math.nan, math.inf, -math.inf, -1, 0, 1e300, 1.7)]
+
+
+# numpy warns on overflow along the way (a Rabi frequency of 1e300, say)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(mutation=st.sampled_from(_MUTATIONS))
+def test_mutated_preset_solves_to_finite_rows_or_raises(mutation):
+    """One numeric leaf of a preset set to a bad value: the scenario loads,
+    solves and sweeps (2 detunings, one velocity) to finite numbers, or a
+    VaporplateError says why not.  The 651 mutations are few enough that
+    the search exhausts them."""
+    name, path, value = mutation
+    cfg = mutated(_PROPERTY_PRESETS[name], path, value)
+    try:
+        scn = scenario_from_config(cfg, name=name)
+        h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+        rho = steady_state(vectorize(h, scn.scheme, scn.network))
+        spec = replace(scn.sweep_spec(detuning_points=2),
+                       grid=VelocityGrid.delta())
+        rows = [r.as_tuple() for r in sweep(spec)]
+    except VaporplateError:
+        return
+    assert np.all(np.isfinite(rho))
+    assert np.all(np.isfinite(rows))
