@@ -1,8 +1,9 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
 The sweep is velocity-major: each velocity node is one call of
-liouville.steady_states, which eliminates the coordinates the signal
-detuning never moves once and then solves one small system per detuning.
+liouville.steady_states, which reuses the generator's eliminated excited
+block, eliminates the ground block and pump coherences once for the node
+and then solves one small system per detuning.
 The node's rows are weight-summed into the average in grid order, on one
 worker or on a process pool over velocity nodes, so results do not depend
 on the worker count.  A checkpoint holds that partial sum and the number of

@@ -9,10 +9,11 @@ imposed at solve time.  This module is the only one that knows the
 coordinate layout: `vectorize` records the index arrays and how each
 diagonal entry of M moves with extra pump and signal detuning.
 `steady_state` is the dense per-cell solve and the oracle;
-`steady_states` solves many signal detunings at one pump shift by
-eliminating, once, the coordinates that the signal detuning never moves
-(a Schur complement), and falls back to `steady_state` for every cell when
-any of its checks fails; a single detuning goes to `steady_state` directly.
+`steady_states` solves any number of signal detunings at one pump shift by
+block elimination (Schur complements): the excited block, which no shift
+moves, once per generator; the ground block and pump coherences once per
+call; then one small solve per detuning.  It falls back to `steady_state`
+for every cell when any of its checks fails.
 """
 
 from __future__ import annotations
@@ -149,9 +150,10 @@ class Liouvillian:
     coordinate set.
 
     s is zero: the trace is imposed when solving.  rows/cols index rho for
-    each coordinate, populations lists the diagonal coordinates, and
+    each coordinate, populations lists the diagonal coordinates,
     d_pump/d_signal are the derivatives of diag(m) with respect to extra pump
-    and signal detuning."""
+    and signal detuning, and excited marks the coordinates whose two levels
+    share a tier >= 1."""
 
     m: np.ndarray
     s: np.ndarray
@@ -162,6 +164,7 @@ class Liouvillian:
     populations: np.ndarray
     d_pump: np.ndarray
     d_signal: np.ndarray
+    excited: np.ndarray
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
         return np.asarray(rho)[self.rows, self.cols].astype(complex)
@@ -172,33 +175,65 @@ class Liouvillian:
         return rho
 
     @cached_property
-    def _signal_split(self) -> "_SignalSplit":
-        """The coordinate order of steady_states, worked out once per
-        generator: the coordinates the signal detuning leaves fixed, then
-        the ones it moves."""
-        moving = self.d_signal != 0
-        order = np.concatenate([np.flatnonzero(~moving),
+    def _elimination(self) -> "_Elimination | None":
+        """The part of steady_states shared by every pump and signal shift,
+        worked out once per generator: the coordinates ordered E, R, Q (see
+        steady_states), the trace row imposed, and E eliminated.
+
+        None, and every cell goes to steady_state, if A_EE is singular (an
+        excited tier that does not decay) or if the generator at rest has
+        no unique steady state: the dense LU finds the exact zero pivot of
+        such a generator, but after E is eliminated rounding hides it and
+        the blocks solve to one of the many steady states."""
+        a, saved_row, b = _trace_imposed(self, 0.0, 0.0)
+        try:
+            np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return None
+
+        moving, excited = self.d_signal != 0, self.excited
+        order = np.concatenate([np.flatnonzero(excited),
+                                np.flatnonzero(~excited & ~moving),
                                 np.flatnonzero(moving)])
+        a, b, saved_row = a[np.ix_(order, order)], b[order], saved_row[order]
+        n_e, n_q = int(np.sum(excited)), int(np.sum(moving))
+        # [Z | y0] = A_EE^-1 [A_E,rest | b_E]
+        try:
+            zy = np.linalg.solve(a[:n_e, :n_e],
+                                 np.column_stack([a[:n_e, n_e:], b[:n_e]]))
+        except np.linalg.LinAlgError:
+            return None
+        # [S0 | c] = [A_rest,rest | b_rest] - A_rest,E [Z | y0]
+        sc = np.column_stack([a[n_e:, n_e:], b[n_e:]]) - a[n_e:, :n_e] @ zy
+        n_r = len(a) - n_e - n_q
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
-        return _SignalSplit(
-            m=self.m[np.ix_(order, order)], n_fixed=int(np.sum(~moving)),
-            d_pump=self.d_pump[order], d_moving=self.d_signal[moving],
+        return _Elimination(
+            a=a, saved_row=saved_row,
             trace_row=int(position[self.populations[-1]]),
-            populations=position[self.populations],
+            z=zy[:, :-1], y0=zy[:, -1:],
+            s_rr=sc[:n_r, :n_r].copy(), rq_c=sc[:n_r, n_r:].copy(),
+            s_qr=sc[n_r:, :n_r].copy(), qq_c=sc[n_r:, n_r:].copy(),
+            d_pump=self.d_pump[order], d_moving=self.d_signal[moving],
             rows=self.rows[order], cols=self.cols[order])
 
 
-class _SignalSplit(NamedTuple):
-    """A generator with its coordinates reordered so that the ones the
-    signal detuning moves come last (see Liouvillian._signal_split)."""
+class _Elimination(NamedTuple):
+    """A generator in E, R, Q order with E eliminated (see
+    Liouvillian._elimination); every block is independent of the shifts
+    except for their diagonals."""
 
-    m: np.ndarray
-    n_fixed: int
+    a: np.ndarray           # generator, trace row imposed
+    saved_row: np.ndarray   # the generator's own trace row
+    trace_row: int
+    z: np.ndarray           # A_EE^-1 A_E,rest
+    y0: np.ndarray          # A_EE^-1 b_E, a column
+    s_rr: np.ndarray        # the complement S0 in blocks; rq_c is
+    rq_c: np.ndarray        # [S0_RQ | c_R] and qq_c is [S0_QQ | c_Q]
+    s_qr: np.ndarray
+    qq_c: np.ndarray
     d_pump: np.ndarray
     d_moving: np.ndarray
-    trace_row: int
-    populations: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
 
@@ -237,12 +272,14 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
                          "coordinates; lumped levels must stay uncoupled")
 
     pump_levels, signal_levels = _detuned_levels(scheme)
+    tiers = np.asarray(scheme.tiers)
     liou = Liouvillian(
         m=m_full[np.ix_(sel, sel)], s=np.zeros(sel.size, dtype=complex),
         coords=tuple(zip(rows.tolist(), cols.tolist())), n_levels=n,
         rows=rows, cols=cols, populations=np.flatnonzero(rows == cols),
         d_pump=1j * (pump_levels[rows] - pump_levels[cols]),
-        d_signal=1j * (signal_levels[rows] - signal_levels[cols]))
+        d_signal=1j * (signal_levels[rows] - signal_levels[cols]),
+        excited=(tiers[rows] == tiers[cols]) & (tiers[rows] >= 1))
     _check_trace_preservation(liou)
     return liou
 
@@ -255,6 +292,22 @@ def _check_trace_preservation(liou: Liouvillian) -> None:
                           "(population column deficit)")
 
 
+def _trace_imposed(liou: Liouvillian, pump_shift: float,
+                   signal_shift: float):
+    """The shifted generator with its last population row replaced by the
+    trace constraint, that row as it was, and the right-hand side."""
+    a = liou.m.copy()
+    diag = np.arange(len(a))
+    a[diag, diag] += liou.d_pump * pump_shift + liou.d_signal * signal_shift
+    row = liou.populations[-1]
+    saved_row = a[row].copy()
+    a[row] = 0.0
+    a[row, liou.populations] = 1.0
+    b = np.zeros(len(a), dtype=complex)
+    b[row] = 1.0
+    return a, saved_row, b
+
+
 def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
                  signal_shift: float = 0.0) -> np.ndarray:
     """Solve M vec(rho) = 0 with trace(rho) = 1.
@@ -265,15 +318,8 @@ def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
     replaced by the trace constraint in one working copy.  The result is
     validated for residual, trace, Hermiticity, and positivity.
     """
-    a = liou.m.copy()
-    diag = np.arange(len(a))
-    a[diag, diag] += liou.d_pump * pump_shift + liou.d_signal * signal_shift
+    a, saved_row, b = _trace_imposed(liou, pump_shift, signal_shift)
     row = liou.populations[-1]
-    saved_row = a[row].copy()
-    a[row] = 0.0
-    a[row, liou.populations] = 1.0
-    b = np.zeros(len(a), dtype=complex)
-    b[row] = 1.0
     try:
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -298,22 +344,31 @@ def steady_states(liou: Liouvillian, pump_shift: float,
     (k, n, n) stack; cell j equals steady_state(liou, pump_shift,
     signal_shifts[j]) to rounding.
 
-    The signal detuning moves only the coordinates S with d_signal != 0,
-    none of them a population, so the trace row stays among the fixed
-    coordinates F.  One solve of the F block against [A_FS | b_F] gives
-    Z = A_FF^-1 A_FS and y0 = A_FF^-1 b_F; each signal shift is then one
-    solve of the Schur complement A_SS + shift*diag(d_signal[S]) - A_SF Z
-    for x_S, and x_F = y0 - Z x_S.  Every cell is checked against
-    steady_state's residual bound and the density bounds of
-    _validate_density; if the elimination is singular or any cell fails a
-    check, every cell is solved by steady_state instead, which raises
-    SolverError where the generator has no valid steady state.  A single
-    shift goes straight to steady_state: the elimination costs about one
-    dense solve, so it pays from two shifts on.
+    The coordinates fall in three classes.  E holds the populations and
+    same-tier coherences of levels of tier >= 1: they decay at the excited
+    rates and no shift moves them.  R holds the other coordinates the
+    signal detuning leaves fixed (the ground tier and the pump
+    coherences); the pump shift moves some of them.  Q holds those with
+    d_signal != 0.  With the trace row imposed, E is eliminated once per
+    generator (Liouvillian._elimination): [Z | y0] = A_EE^-1 [A_E,rest |
+    b_E] and the complement [S0 | c] = [A_rest,rest | b_rest] - A_rest,E
+    [Z | y0].  Per call, the pump shift is added to the diagonal of S0, R
+    is eliminated against [S_RQ | c_R], and each signal shift is one solve
+    of the Q complement; R and then E follow by back-substitution.  The
+    ground tier is not eliminated once with E, although no shift moves it
+    either: it relaxes only at gamma_g, so its block is nearly singular,
+    and eliminating it first put fig7-full rows up to 20 times outside a
+    1e-9 relative agreement with the dense solve (E alone: within 0.3).
+
+    Every cell is checked against steady_state's residual bound and the
+    density bounds of _validate_density; if an elimination is singular or
+    any cell fails a check, every cell is solved by steady_state instead,
+    which raises SolverError where the generator has no valid steady
+    state.  One shift takes the same path as many.
     """
     shifts = np.asarray(signal_shifts, dtype=float)
     rho = None
-    if len(shifts) > 1:
+    if liou._elimination is not None:
         try:
             rho = _eliminated_states(liou, pump_shift, shifts)
         except np.linalg.LinAlgError:
@@ -329,54 +384,56 @@ def steady_states(liou: Liouvillian, pump_shift: float,
 def _eliminated_states(liou: Liouvillian, pump_shift: float,
                        shifts: np.ndarray) -> np.ndarray | None:
     """steady_states by elimination; None if any cell fails a check."""
-    split = liou._signal_split
-    nf, row = split.n_fixed, split.trace_row
-    a = split.m.copy()
-    diag = np.arange(len(a))
-    a[diag, diag] += split.d_pump * pump_shift
-    saved_row = a[row].copy()
-    a[row] = 0.0
-    a[row, split.populations] = 1.0
+    el = liou._elimination
+    n = len(el.a)
+    n_e, n_r, n_q = len(el.z), len(el.s_rr), len(el.d_moving)
+    n_f = n_e + n_r          # Q starts here
+    pump = el.d_pump * pump_shift
+    r_diag = np.arange(n_r)
+    q_diag = np.arange(n_q)
 
-    # [Z | y0] = A_FF^-1 [A_FS | b_F];  [Sc | c] = [A_SS | 0] - A_SF [Z | y0]
-    ns = len(a) - nf
-    rhs = np.zeros((nf, ns + 1), dtype=complex)
-    rhs[:, :ns] = a[:nf, nf:]
-    rhs[row, ns] = 1.0
-    zy = np.linalg.solve(a[:nf, :nf], rhs)
-    sc = -(a[nf:, :nf] @ zy)
-    sc[:, :ns] += a[nf:, nf:]
-    c, sc = sc[:, ns].copy(), sc[:, :ns]
+    # [Z2 | y2] = S_RR^-1 [S_RQ | c_R]
+    # [Sq | cq] = [S_QQ | c_Q] - S_QR [Z2 | y2]
+    s_rr = el.s_rr.copy()
+    s_rr[r_diag, r_diag] += pump[n_e:n_f]
+    zy = np.linalg.solve(s_rr, el.rq_c)
+    sc = el.qq_c - el.s_qr @ zy
+    sc[q_diag, q_diag] += pump[n_f:]
+    c, sc = sc[:, n_q].copy(), sc[:, :n_q]
 
-    moving = np.arange(ns)
-    base = sc[moving, moving].copy()
-    x = np.empty((len(a), len(shifts)), dtype=complex)
+    base = sc[q_diag, q_diag].copy()
+    x = np.empty((n, len(shifts)), dtype=complex)
     for j, shift in enumerate(shifts):
-        sc[moving, moving] = base + split.d_moving * shift
-        x[nf:, j] = np.linalg.solve(sc, c)
-    x[:nf] = zy[:, ns:] - zy[:, :ns] @ x[nf:]
+        sc[q_diag, q_diag] = base + el.d_moving * shift
+        x[n_f:, j] = np.linalg.solve(sc, c)
+    x[n_e:n_f] = zy[:, n_q:] - zy[:, :n_q] @ x[n_f:]
+    x[:n_e] = el.y0 - el.z @ x[n_e:]
 
-    # residual against the true generator: the trace row is the saved one
-    # and the signal shift adds d_signal * shift on the moving diagonal
-    r = a @ x
-    r[row] = saved_row @ x
-    r[nf:] += split.d_moving[:, None] * shifts * x[nf:]
+    # residual against the true generator: the trace row is the saved one,
+    # the pump shift moves the diagonal and the signal shift that of Q
+    row = el.trace_row
+    r = el.a @ x
+    r += pump[:, None] * x
+    r[n_f:] += el.d_moving[:, None] * shifts * x[n_f:]
+    r[row] = el.saved_row @ x
     resid = np.max(np.abs(r), axis=0)
     ok = resid <= 1e-9
     if not np.all(ok):
         # steady_state's bound 1e-9 * max|A| over each cell's own matrix,
-        # which differs from `a` only on the moving diagonal
-        mag = np.abs(a)
-        mag[nf + moving, nf + moving] = 0.0
-        cell_diag = a[nf + moving, nf + moving] + \
-            np.multiply.outer(shifts, split.d_moving)
+        # which differs from el.a only on the diagonal
+        diag = np.arange(n)
+        mag = np.abs(el.a)
+        mag[diag, diag] = np.abs(np.diagonal(el.a) + pump)
+        mag[n_f + q_diag, n_f + q_diag] = 0.0
+        cell_diag = np.diagonal(el.a)[n_f:] + pump[n_f:] + \
+            np.multiply.outer(shifts, el.d_moving)
         cell_max = np.maximum(np.max(mag),
                               np.max(np.abs(cell_diag), axis=1, initial=0.0))
         ok |= resid <= 1e-9 * cell_max
 
     rho = np.zeros((len(shifts), liou.n_levels, liou.n_levels),
                    dtype=complex)
-    rho[:, split.rows, split.cols] = x.T
+    rho[:, el.rows, el.cols] = x.T
     herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
     pops = np.diagonal(rho, axis1=1, axis2=2).real
     ok &= herm <= 1e-10

@@ -32,6 +32,13 @@ PRESETS = ("fig1-ideal", "fig7-full", "fig7-reduced15", "fig8-qwp",
 # a typo (1e5 x 1e5 cells would take weeks), not a sweep.
 MAX_POINTS = 100_000
 
+VELOCITY_KINDS = ("gauss_hermite", "uniform", "delta")
+
+# Velocity nodes when a scenario gives none: the presets' count, which the
+# default kind can build (numpy's Gauss-Hermite weights overflow above 370
+# nodes).
+DEFAULT_VELOCITY_POINTS = 200
+
 
 def _check_keys(mapping, allowed, context):
     if not isinstance(mapping, dict):
@@ -39,6 +46,13 @@ def _check_keys(mapping, allowed, context):
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _required(mapping, key, context):
+    """mapping[key], or a ConfigError naming the missing key's path."""
+    if key not in mapping:
+        raise ConfigError(f"{context}.{key} is required")
+    return mapping[key]
 
 
 def _number(value, context) -> float:
@@ -219,8 +233,8 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
         else:
             raise ConfigError(f"{ctx}: f (or f_values) is required")
         manifolds.append(Manifold(
-            label=str(m["label"]),
-            tier=_integer(m["tier"], f"{ctx}.tier"),
+            label=str(_required(m, "label", ctx)),
+            tier=_integer(_required(m, "tier", ctx), f"{ctx}.tier"),
             j=_number(m.get("j", 0.5), f"{ctx}.j"),
             f_values=f_values,
             offset=_freq(m.get("offset", 0.0), gamma_a_mhz, f"{ctx}.offset"),
@@ -290,11 +304,11 @@ def _build_transitions(node, scheme: LevelScheme) -> TransitionTable:
         ctx = f"transitions.entries[{k}]"
         _check_keys(e, {"field", "upper", "lower", "q", "strength"}, ctx)
         entries.append(TransitionEntry(
-            upper=_parse_level(scheme, e["upper"], ctx),
-            lower=_parse_level(scheme, e["lower"], ctx),
-            q=_integer(e["q"], f"{ctx}.q"),
+            upper=_parse_level(scheme, _required(e, "upper", ctx), ctx),
+            lower=_parse_level(scheme, _required(e, "lower", ctx), ctx),
+            q=_integer(_required(e, "q", ctx), f"{ctx}.q"),
             strength=_number(e.get("strength", 1.0), f"{ctx}.strength"),
-            field=str(e["field"])))
+            field=str(_required(e, "field", ctx))))
     return TransitionTable(tuple(entries))
 
 
@@ -310,9 +324,12 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
         for k, c in enumerate(node["explicit_channels"]):
             ctx = f"decay.explicit_channels[{k}]"
             _check_keys(c, {"from", "to", "rate"}, ctx)
-            src = scheme.index[_parse_level(scheme, c["from"], ctx)]
-            tgt = scheme.index[_parse_level(scheme, c["to"], ctx)]
-            add(src, tgt, _freq(c["rate"], gamma_a_mhz, f"{ctx}.rate"))
+            src = scheme.index[_parse_level(scheme, _required(c, "from", ctx),
+                                            ctx)]
+            tgt = scheme.index[_parse_level(scheme, _required(c, "to", ctx),
+                                            ctx)]
+            add(src, tgt, _freq(_required(c, "rate", ctx), gamma_a_mhz,
+                                f"{ctx}.rate"))
     else:
         f_d1 = params.d1_d2_ratio / (1.0 + params.d1_d2_ratio)
         path = node.get("six_s_decay_path", "reservoir")
@@ -446,12 +463,15 @@ def _build_medium(node, decay: DecayParams) -> MediumParams | None:
     _check_keys(node, {"n_atom_cm3", "length_cm", "wavelength_nm", "gamma",
                        "omega_min", "b_min_sq"}, "medium")
     return MediumParams(
-        n_atom=_number(node["n_atom_cm3"], "medium.n_atom_cm3"),
-        length=_number(node["length_cm"], "medium.length_cm"),
+        n_atom=_number(_required(node, "n_atom_cm3", "medium"),
+                       "medium.n_atom_cm3"),
+        length=_number(_required(node, "length_cm", "medium"),
+                       "medium.length_cm"),
         wavelength_nm=_number(node.get("wavelength_nm", 1323.0),
                               "medium.wavelength_nm"),
         gamma=_number(node.get("gamma", decay.gamma_b), "medium.gamma"),
-        omega_min=_number(node["omega_min"], "medium.omega_min"),
+        omega_min=_number(_required(node, "omega_min", "medium"),
+                          "medium.omega_min"),
         b_min_sq=_number(node.get("b_min_sq", 1.0 / 12.0),
                          "medium.b_min_sq"))
 
@@ -467,20 +487,35 @@ def _build_sweep(node) -> SweepSettings | None:
     geometry = node.get("geometry", COUNTER)
     if geometry not in (COUNTER, CO):
         raise ConfigError(f"sweep.geometry must be {COUNTER} or {CO}")
+    start, stop = (_number(_required(node, key, "sweep"), f"sweep.{key}")
+                   for key in ("detuning_start", "detuning_stop"))
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("sweep.detuning_start and sweep.detuning_stop "
+                          "must be finite")
+    kind = str(vel.get("kind", "gauss_hermite"))
+    if kind not in VELOCITY_KINDS:
+        raise ConfigError(f"sweep.velocity.kind must be one of "
+                          f"{VELOCITY_KINDS}, got {kind!r}")
+    # checked here, where validate sees them, rather than when the grid is
+    # built; building a Gauss-Hermite grid costs milliseconds
+    thermal = {}
+    for key, default in (("temperature_k", 403.0), ("mass_amu", 86.909),
+                         ("span", 4.0)):
+        value = _number(vel.get(key, default), f"sweep.velocity.{key}")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"sweep.velocity.{key} must be finite and "
+                              f"positive, got {value!r}")
+        thermal[key] = value
     return SweepSettings(
-        detuning_start=_number(node["detuning_start"], "sweep.detuning_start"),
-        detuning_stop=_number(node["detuning_stop"], "sweep.detuning_stop"),
+        detuning_start=start, detuning_stop=stop,
         detuning_points=_count(node.get("detuning_points", 512),
                                "sweep.detuning_points"),
         geometry=geometry,
-        velocity_kind=str(vel.get("kind", "gauss_hermite")),
-        velocity_points=_count(vel.get("points", 800),
+        velocity_kind=kind,
+        velocity_points=_count(vel.get("points", DEFAULT_VELOCITY_POINTS),
                                "sweep.velocity.points"),
-        temperature=_number(vel.get("temperature_k", 403.0),
-                            "sweep.velocity.temperature_k"),
-        mass_amu=_number(vel.get("mass_amu", 86.909),
-                         "sweep.velocity.mass_amu"),
-        span=_number(vel.get("span", 4.0), "sweep.velocity.span"))
+        temperature=thermal["temperature_k"], mass_amu=thermal["mass_amu"],
+        span=thermal["span"])
 
 
 def _build_analyzer(node) -> AnalyzerSettings:
@@ -493,8 +528,10 @@ def _build_analyzer(node) -> AnalyzerSettings:
         _check_keys(c, {"voltages", "thetas"}, "analyzer.lcr_calibration")
         ctx = "analyzer.lcr_calibration"
         cal = LcrCalibration(
-            tuple(_number(v, f"{ctx}.voltages") for v in c["voltages"]),
-            tuple(_number(t, f"{ctx}.thetas") for t in c["thetas"]))
+            tuple(_number(v, f"{ctx}.voltages")
+                  for v in _required(c, "voltages", ctx)),
+            tuple(_number(t, f"{ctx}.thetas")
+                  for t in _required(c, "thetas", ctx)))
     e0 = _number(node.get("e0", 1.0), "analyzer.e0")
     if not 0 < e0 < math.inf:
         raise ConfigError(f"analyzer.e0 must be finite and positive, "

@@ -235,3 +235,54 @@ def test_bad_numbers_exit_one_without_csv(tmp_path, capsys, edit, command,
     assert code == 1 and out == ""
     assert err.startswith("error:") and reason in err
     assert not out_csv.exists()
+
+
+def _delete(*keys):
+    def edit(cfg):
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_delete("medium", "omega_min"), "medium.omega_min"),
+    (_delete("scheme", "manifolds", 2, "tier"), "scheme.manifolds[2].tier"),
+    (_delete("scheme", "manifolds", 0, "label"),
+     "scheme.manifolds[0].label"),
+    (_delete("sweep", "detuning_start"), "sweep.detuning_start"),
+], ids=["omega-min", "tier", "label", "detuning-start"])
+def test_missing_required_key_exits_one(tmp_path, capsys, edit, path):
+    code, out, err = run(capsys, "validate", "--scenario",
+                         _reduced15_copy(tmp_path, edit))
+    assert code == 1 and out == ""
+    assert err == f"error: {path} is required\n"
+
+
+@pytest.mark.parametrize("edit, key", [
+    (_set("sweep", "velocity", "temperature_k", -1.0), "temperature_k"),
+    (_set("sweep", "velocity", "mass_amu", 0.0), "mass_amu"),
+    (_set("sweep", "velocity", "span", math.nan), "span"),
+    (_set("sweep", "velocity", "kind", "trapezoid"), "kind"),
+    (_set("sweep", "detuning_stop", math.inf), "detuning_stop"),
+], ids=["temperature-minus-1", "mass-0", "span-nan", "kind", "stop-inf"])
+def test_validate_rejects_bad_sweep_settings(tmp_path, capsys, edit, key):
+    code, out, err = run(capsys, "validate", "--scenario",
+                         _reduced15_copy(tmp_path, edit))
+    assert code == 1 and out == ""
+    assert err.startswith("error: sweep.") and key in err
+    assert len(err.splitlines()) == 1
+
+
+def test_scenario_without_velocity_points_sweeps(tmp_path, capsys):
+    """The default velocity count is one the default grid can build."""
+    path = _reduced15_copy(tmp_path, _delete("sweep", "velocity", "points"))
+    code, out, _ = run(capsys, "validate", "--scenario", path)
+    assert code == 0 and "x 200 velocities" in out
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run(capsys, "sweep", "--scenario", path, "--out",
+                     str(out_csv), "--points", "2")
+    detunings, responses = read_sweep_csv(str(out_csv))
+    assert code == 0 and len(responses) == 2
+    assert all(np.all(np.isfinite(r.as_tuple())) for r in responses)

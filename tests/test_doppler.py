@@ -3,15 +3,17 @@ checkpointing, and the CSV interchange format."""
 
 import dataclasses
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
-from vaporplate import (CO, COUNTER, ModelError,
+from vaporplate import (CO, COUNTER, ModelError, SolverError,
                         VelocityGrid, build_hamiltonian, doppler_shifts,
                         load_preset, read_sweep_csv, response_from_density,
-                        steady_state, sweep, thermal_rms_velocity, vectorize,
-                        write_sweep_csv)
+                        scenario_from_config, steady_state, sweep,
+                        thermal_rms_velocity, vectorize, write_sweep_csv)
 from vaporplate import liouville
 
 
@@ -137,14 +139,15 @@ def no_dense_fallback(*args, **kwargs):
                                     "fig7-reduced15", "fig7-full"])
 def test_sweep_rows_match_rebuild_on_random_cells(preset, geometry,
                                                   monkeypatch):
-    """Each velocity node eliminates the fixed block once and then solves
-    every detuning; every cell must equal a full rebuild, and none may
-    need the dense fallback."""
+    """Each velocity node eliminates the ground block and pump coherences
+    against the complement left by the excited block, then solves every
+    detuning; every cell, at one detuning as at three, must equal a full
+    rebuild, and none may need the dense fallback."""
     scn = load_preset(preset)
     rng = np.random.default_rng(13)
-    for _ in range(2):
+    for count in (1, 3) * 4:        # four velocities at each count
         v = rng.uniform(-400.0, 400.0)
-        detunings = np.sort(rng.uniform(-600.0, 600.0, 3))
+        detunings = np.sort(rng.uniform(-600.0, 600.0, count))
         grid = VelocityGrid((v,), (1.0,), 403.0, 86.909, 0.0, "single")
         with monkeypatch.context() as patch:
             patch.setattr(liouville, "steady_state", no_dense_fallback)
@@ -154,6 +157,27 @@ def test_sweep_rows_match_rebuild_on_random_cells(preset, geometry,
             slow = full_rebuild_response(scn, d, v, geometry)
             assert np.allclose(fast.as_tuple(), slow.as_tuple(),
                                rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+def test_sweep_without_ground_relaxation_reports_nonunique_state(
+        geometry, count):
+    """Without ground cross-relaxation fig7-full has no unique steady state
+    (population can be trapped in two ground states).  Eliminating the
+    excited block hides the exact singularity from the remaining blocks,
+    so the sweep must still report it rather than answer with one of the
+    states."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig7-full.yaml").read_text())
+    cfg["decay"]["gamma_g"] = 0.0
+    scn = scenario_from_config(cfg)
+    grid = VelocityGrid((-150.0, 20.0), (0.5, 0.5), 403.0, 86.909, 0.0,
+                        "pair")
+    spec = small_spec(scn, np.linspace(-30.0, 30.0, count), grid=grid,
+                      geometry=geometry)
+    with pytest.raises(SolverError, match="non-unique"):
+        sweep(spec)
 
 
 def test_degenerate_grid_sweep_equals_direct_solve(fig7):

@@ -8,8 +8,8 @@ import pytest
 from vaporplate import (DecayNetwork, DecayParams, FieldSpec, LevelScheme,
                         Manifold, ModelError, SolverError, SublevelId,
                         TransitionEntry, TransitionTable, build_hamiltonian,
-                        evolve, steady_state, steady_states, suggest_dt,
-                        vectorize)
+                        evolve, load_preset, steady_state, steady_states,
+                        suggest_dt, vectorize)
 
 
 def two_level(rabi=1.0, detuning=0.0, gamma=1.0):
@@ -215,6 +215,21 @@ def test_steady_states_without_signal_coordinates():
         assert np.allclose(rho, steady_state(liou, pump_shift=0.9),
                            atol=1e-12)
     assert steady_states(liou, 0.9, []).shape == (0, 2, 2)
+
+
+def test_elimination_blocks_on_fig7_full():
+    """fig7-full's coordinates split into the excited block eliminated once
+    per generator, the ground block and pump coherences eliminated per
+    velocity node, and the coordinates the signal detuning moves."""
+    scn = load_preset("fig7-full")
+    h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+    liou = vectorize(h, scn.scheme, scn.network)
+    el = liou._elimination
+    n_e = len(el.z)
+    assert (n_e, len(el.s_rr), len(el.d_moving)) == (74, 106, 78)
+    tiers = np.asarray(scn.scheme.tiers)
+    assert np.all(tiers[el.rows[:n_e]] >= 1)
+    assert not np.any(el.d_pump[:n_e])
 
 
 def test_steady_state_scale_invariance():

@@ -3,6 +3,7 @@ mapping from configuration to model objects."""
 
 import copy
 import math
+import re
 from dataclasses import replace
 from importlib import resources
 
@@ -155,6 +156,23 @@ def test_missing_required_section(base_cfg):
     cfg = copy.deepcopy(base_cfg)
     del cfg["fields"]
     with pytest.raises(ConfigError, match="missing section"):
+        scenario_from_config(cfg)
+
+
+@pytest.mark.parametrize("path", [
+    ["transitions", "entries", 0, "q"],
+    ["transitions", "entries", 1, "field"],
+    ["decay", "explicit_channels", 0, "rate"],
+    ["decay", "explicit_channels", 1, "from"],
+])
+def test_missing_required_key_is_named(base_cfg, path):
+    cfg = copy.deepcopy(base_cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    where = "{}.{}[{}].{}".format(*path)
+    with pytest.raises(ConfigError, match=re.escape(f"{where} is required")):
         scenario_from_config(cfg)
 
 
