@@ -32,6 +32,10 @@ AMU = 1.66053906660e-27    # kg
 COUNTER = "counter_propagating"
 CO = "co_propagating"
 
+# Most nodes numpy's hermgauss builds with finite weights; from 371 nodes its
+# weights overflow.
+MAX_GAUSS_HERMITE_NODES = 370
+
 CSV_HEADER = "delta_s,phi_plus,phi_minus,alpha_plus,alpha_minus,phi_d_deg,alpha_d"
 CSV_MAGIC = "# vaporplate sweep CSV v1"
 
@@ -68,12 +72,14 @@ class VelocityGrid:
     def gauss_hermite(cls, n: int, temperature: float = 403.0,
                       mass_amu: float = 86.909) -> "VelocityGrid":
         _check_nodes(n)
-        # large n overflows inside hermgauss; the non-finite weights are
-        # then rejected by __post_init__ rather than warned about
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x, w = np.polynomial.hermite.hermgauss(n)
-            w = w / math.sqrt(math.pi)
-            w = w / w.sum()
+        if n > MAX_GAUSS_HERMITE_NODES:
+            raise ModelError(
+                f"a gauss_hermite velocity grid has at most "
+                f"{MAX_GAUSS_HERMITE_NODES} nodes (numpy's weights overflow "
+                f"above that), got {n}")
+        x, w = np.polynomial.hermite.hermgauss(n)
+        w = w / math.sqrt(math.pi)
+        w = w / w.sum()
         vr = thermal_rms_velocity(temperature, mass_amu)
         v = x * math.sqrt(2.0) * vr
         return cls(tuple(v), tuple(w), temperature, mass_amu,

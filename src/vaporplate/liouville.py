@@ -10,10 +10,13 @@ coordinate layout: `vectorize` records the index arrays and how each
 diagonal entry of M moves with extra pump and signal detuning.
 `steady_state` is the dense per-cell solve and the oracle;
 `steady_states` solves any number of signal detunings at one pump shift by
-block elimination (Schur complements): the excited block, which no shift
-moves, once per generator; the ground block and pump coherences once per
-call; then one small solve per detuning.  It falls back to `steady_state`
-for every cell when any of its checks fails.
+block elimination (Schur complements) on the driven coordinates only, those
+a population reaches through the generator's couplings; the Zeeman
+selection rules leave the rest in coherence-only blocks whose steady state
+is exactly zero.  It eliminates the excited block, which no shift moves,
+once per generator; the ground block and pump coherences once per call;
+then it solves one small system per detuning.  It falls back to
+`steady_state` for every cell when any of its checks fails.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
+
+# Detunings per stacked Q solve in steady_states: bounds the working stack
+# to Q_CHUNK * n_q**2 complex entries (1.3 MB on fig7-full) however many
+# detunings a call asks for.
+Q_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -177,26 +185,29 @@ class Liouvillian:
     @cached_property
     def _elimination(self) -> "_Elimination | None":
         """The part of steady_states shared by every pump and signal shift,
-        worked out once per generator: the coordinates ordered E, R, Q (see
-        steady_states), the trace row imposed, and E eliminated.
+        worked out once per generator: the driven coordinates (_driven)
+        ordered E, R, Q (see steady_states), the trace row imposed, and E
+        eliminated.  On fig7-full E, R and Q hold 38, 42 and 36 of the 116
+        driven coordinates; the other 142 of the 258 are left out.
 
         None, and every cell goes to steady_state, if A_EE is singular (an
-        excited tier that does not decay) or if the generator at rest has
-        no unique steady state: the dense LU finds the exact zero pivot of
-        such a generator, but after E is eliminated rounding hides it and
-        the blocks solve to one of the many steady states."""
+        excited tier that does not decay) or if the driven block at rest
+        has no unique steady state: the dense LU finds the exact zero pivot
+        of such a generator, but after E is eliminated rounding hides it
+        and the blocks solve to one of the many steady states."""
+        driven = _driven(self)
         a, saved_row, b = _trace_imposed(self, 0.0, 0.0)
         try:
-            np.linalg.solve(a, b)
+            np.linalg.solve(a[np.ix_(driven, driven)], b[driven])
         except np.linalg.LinAlgError:
             return None
 
         moving, excited = self.d_signal != 0, self.excited
-        order = np.concatenate([np.flatnonzero(excited),
-                                np.flatnonzero(~excited & ~moving),
-                                np.flatnonzero(moving)])
+        e, r, q = (np.flatnonzero(driven & part) for part in
+                   (excited, ~excited & ~moving, moving))
+        order = np.concatenate([e, r, q])
         a, b, saved_row = a[np.ix_(order, order)], b[order], saved_row[order]
-        n_e, n_q = int(np.sum(excited)), int(np.sum(moving))
+        n_e, n_r = len(e), len(r)
         # [Z | y0] = A_EE^-1 [A_E,rest | b_E]
         try:
             zy = np.linalg.solve(a[:n_e, :n_e],
@@ -205,17 +216,38 @@ class Liouvillian:
             return None
         # [S0 | c] = [A_rest,rest | b_rest] - A_rest,E [Z | y0]
         sc = np.column_stack([a[n_e:, n_e:], b[n_e:]]) - a[n_e:, :n_e] @ zy
-        n_r = len(a) - n_e - n_q
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
         return _Elimination(
             a=a, saved_row=saved_row,
-            trace_row=int(position[self.populations[-1]]),
+            trace_row=int(np.flatnonzero(order == self.populations[-1])[0]),
             z=zy[:, :-1], y0=zy[:, -1:],
             s_rr=sc[:n_r, :n_r].copy(), rq_c=sc[:n_r, n_r:].copy(),
             s_qr=sc[n_r:, :n_r].copy(), qq_c=sc[n_r:, n_r:].copy(),
-            d_pump=self.d_pump[order], d_moving=self.d_signal[moving],
+            d_pump=self.d_pump[order], d_moving=self.d_signal[q],
             rows=self.rows[order], cols=self.cols[order])
+
+
+def _driven(liou: Liouvillian) -> np.ndarray:
+    """Mask of the coordinates a population reaches through nonzero entries
+    of M, in either direction; every coordinate if one outside that set is
+    not strictly damped.
+
+    The other coordinates are coherences in blocks that no driven row or
+    column touches.  On such a block M is the anti-Hermitian -i[H, .] part
+    plus the real diagonal -(Gamma_i + Gamma_j)/2, and every shift adds an
+    imaginary diagonal entry, so with that diagonal strictly negative the
+    block is nonsingular at every cell.  Its right-hand side is zero (the
+    trace row is a population's), and so is its part of the steady state."""
+    link = liou.m != 0
+    link |= link.T
+    driven = np.zeros(len(link), dtype=bool)
+    driven[liou.populations] = True
+    while True:
+        grown = driven | np.any(link[:, driven], axis=1)
+        if np.array_equal(grown, driven):
+            break
+        driven = grown
+    damped = np.diagonal(liou.m).real < 0
+    return driven if np.all(damped[~driven]) else np.ones_like(driven)
 
 
 class _Elimination(NamedTuple):
@@ -344,21 +376,26 @@ def steady_states(liou: Liouvillian, pump_shift: float,
     (k, n, n) stack; cell j equals steady_state(liou, pump_shift,
     signal_shifts[j]) to rounding.
 
-    The coordinates fall in three classes.  E holds the populations and
+    Only the driven coordinates are solved for (_driven): the others are
+    damped coherences that no driven coordinate couples to, so their part
+    of every cell is zero and is left zero in the stack.  The driven
+    coordinates fall in three classes.  E holds the populations and
     same-tier coherences of levels of tier >= 1: they decay at the excited
     rates and no shift moves them.  R holds the other coordinates the
     signal detuning leaves fixed (the ground tier and the pump
     coherences); the pump shift moves some of them.  Q holds those with
-    d_signal != 0.  With the trace row imposed, E is eliminated once per
+    d_signal != 0.  On fig7-full E, R and Q hold 38, 42 and 36 of the 258
+    coordinates.  With the trace row imposed, E is eliminated once per
     generator (Liouvillian._elimination): [Z | y0] = A_EE^-1 [A_E,rest |
     b_E] and the complement [S0 | c] = [A_rest,rest | b_rest] - A_rest,E
     [Z | y0].  Per call, the pump shift is added to the diagonal of S0, R
-    is eliminated against [S_RQ | c_R], and each signal shift is one solve
-    of the Q complement; R and then E follow by back-substitution.  The
-    ground tier is not eliminated once with E, although no shift moves it
-    either: it relaxes only at gamma_g, so its block is nearly singular,
-    and eliminating it first put fig7-full rows up to 20 times outside a
-    1e-9 relative agreement with the dense solve (E alone: within 0.3).
+    is eliminated against [S_RQ | c_R], and the Q complement is solved at
+    every signal shift in stacked solves of up to Q_CHUNK shifts; R and
+    then E follow by back-substitution.  The ground tier is not eliminated
+    once with E, although no shift moves it either: it relaxes only at
+    gamma_g, so its block is nearly singular, and eliminating it first put
+    fig7-full rows up to 20 times outside a 1e-9 relative agreement with
+    the dense solve (E alone: within 0.3).
 
     Every cell is checked against steady_state's residual bound and the
     density bounds of _validate_density; if an elimination is singular or
@@ -399,13 +436,18 @@ def _eliminated_states(liou: Liouvillian, pump_shift: float,
     zy = np.linalg.solve(s_rr, el.rq_c)
     sc = el.qq_c - el.s_qr @ zy
     sc[q_diag, q_diag] += pump[n_f:]
-    c, sc = sc[:, n_q].copy(), sc[:, :n_q]
+    c, sc = sc[:, n_q], sc[:, :n_q]
 
-    base = sc[q_diag, q_diag].copy()
+    # stacked solves over the detunings, Q_CHUNK at a time: Sq with each
+    # shift on its diagonal.  The right-hand side is 3-D, a stack of
+    # matrices under both numpy 1.x and 2.x broadcasting rules.
     x = np.empty((n, len(shifts)), dtype=complex)
-    for j, shift in enumerate(shifts):
-        sc[q_diag, q_diag] = base + el.d_moving * shift
-        x[n_f:, j] = np.linalg.solve(sc, c)
+    for lo in range(0, len(shifts), Q_CHUNK):
+        part = shifts[lo:lo + Q_CHUNK]
+        stack = np.repeat(sc[None], len(part), axis=0)
+        stack[:, q_diag, q_diag] += np.multiply.outer(part, el.d_moving)
+        x[n_f:, lo:lo + len(part)] = \
+            np.linalg.solve(stack, c[None, :, None])[..., 0].T
     x[n_e:n_f] = zy[:, n_q:] - zy[:, :n_q] @ x[n_f:]
     x[:n_e] = el.y0 - el.z @ x[n_e:]
 

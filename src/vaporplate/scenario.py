@@ -18,7 +18,8 @@ import yaml
 from .atomic import (DecayParams, LevelScheme, Manifold, SublevelId,
                      TransitionEntry, TransitionTable, decay_distribution,
                      derive_transitions, load_table1)
-from .doppler import CO, COUNTER, SweepSpec, VelocityGrid
+from .doppler import (CO, COUNTER, MAX_GAUSS_HERMITE_NODES, SweepSpec,
+                      VelocityGrid)
 from .errors import ConfigError
 from .liouville import DecayNetwork, FieldSpec
 from .polarimetry import DEFAULT_LCR_CALIBRATION, LcrCalibration, MediumParams
@@ -35,8 +36,7 @@ MAX_POINTS = 100_000
 VELOCITY_KINDS = ("gauss_hermite", "uniform", "delta")
 
 # Velocity nodes when a scenario gives none: the presets' count, which the
-# default kind can build (numpy's Gauss-Hermite weights overflow above 370
-# nodes).
+# default kind can build (at most MAX_GAUSS_HERMITE_NODES).
 DEFAULT_VELOCITY_POINTS = 200
 
 
@@ -506,14 +506,19 @@ def _build_sweep(node) -> SweepSettings | None:
             raise ConfigError(f"sweep.velocity.{key} must be finite and "
                               f"positive, got {value!r}")
         thermal[key] = value
+    points = _count(vel.get("points", DEFAULT_VELOCITY_POINTS),
+                    "sweep.velocity.points")
+    if kind == "gauss_hermite" and points > MAX_GAUSS_HERMITE_NODES:
+        raise ConfigError(f"sweep.velocity.points must be at most "
+                          f"{MAX_GAUSS_HERMITE_NODES} for a gauss_hermite "
+                          f"grid, got {points}")
     return SweepSettings(
         detuning_start=start, detuning_stop=stop,
         detuning_points=_count(node.get("detuning_points", 512),
                                "sweep.detuning_points"),
         geometry=geometry,
         velocity_kind=kind,
-        velocity_points=_count(vel.get("points", DEFAULT_VELOCITY_POINTS),
-                               "sweep.velocity.points"),
+        velocity_points=points,
         temperature=thermal["temperature_k"], mass_amu=thermal["mass_amu"],
         span=thermal["span"])
 

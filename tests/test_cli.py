@@ -266,13 +266,24 @@ def test_missing_required_key_exits_one(tmp_path, capsys, edit, path):
     (_set("sweep", "velocity", "span", math.nan), "span"),
     (_set("sweep", "velocity", "kind", "trapezoid"), "kind"),
     (_set("sweep", "detuning_stop", math.inf), "detuning_stop"),
-], ids=["temperature-minus-1", "mass-0", "span-nan", "kind", "stop-inf"])
+    (_set("sweep", "velocity", "points", 800), "points"),
+], ids=["temperature-minus-1", "mass-0", "span-nan", "kind", "stop-inf",
+        "gauss-hermite-800"])
 def test_validate_rejects_bad_sweep_settings(tmp_path, capsys, edit, key):
     code, out, err = run(capsys, "validate", "--scenario",
                          _reduced15_copy(tmp_path, edit))
     assert code == 1 and out == ""
     assert err.startswith("error: sweep.") and key in err
     assert len(err.splitlines()) == 1
+
+
+def test_validate_accepts_many_uniform_velocity_points(tmp_path, capsys):
+    """The Gauss-Hermite node cap applies to that kind alone."""
+    def edit(cfg):
+        cfg["sweep"]["velocity"].update(kind="uniform", points=800)
+    code, out, _ = run(capsys, "validate", "--scenario",
+                       _reduced15_copy(tmp_path, edit))
+    assert code == 0 and "x 800 velocities" in out
 
 
 def test_scenario_without_velocity_points_sweeps(tmp_path, capsys):

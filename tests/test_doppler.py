@@ -15,6 +15,7 @@ from vaporplate import (CO, COUNTER, ModelError, SolverError,
                         scenario_from_config, steady_state, sweep,
                         thermal_rms_velocity, vectorize, write_sweep_csv)
 from vaporplate import liouville
+from vaporplate.doppler import MAX_GAUSS_HERMITE_NODES
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +62,13 @@ def test_velocity_grid_validation():
         VelocityGrid((0.0,), (0.5,), 403.0, 86.909, 1.0, "x")
     with pytest.raises(ModelError):
         VelocityGrid((float("nan"),), (1.0,), 403.0, 86.909, 1.0, "x")
+    assert len(VelocityGrid.gauss_hermite(MAX_GAUSS_HERMITE_NODES)
+               .velocities) == MAX_GAUSS_HERMITE_NODES
     with warnings.catch_warnings():
-        warnings.simplefilter("error")      # the overflow must not warn first
-        with pytest.raises(ModelError, match="non-finite"):
-            VelocityGrid.gauss_hermite(400)     # hermgauss weights overflow
+        warnings.simplefilter("error")      # refused before hermgauss runs
+        for n in (MAX_GAUSS_HERMITE_NODES + 1, 400):
+            with pytest.raises(ModelError, match="at most 370"):
+                VelocityGrid.gauss_hermite(n)
 
 
 def test_velocity_grid_rejects_bad_thermal_parameters():

@@ -1,15 +1,20 @@
 """Hamiltonian assembly, vectorization, steady states, and time evolution."""
 
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
-from vaporplate import (DecayNetwork, DecayParams, FieldSpec, LevelScheme,
-                        Manifold, ModelError, SolverError, SublevelId,
-                        TransitionEntry, TransitionTable, build_hamiltonian,
-                        evolve, load_preset, steady_state, steady_states,
-                        suggest_dt, vectorize)
+from vaporplate import (CO, COUNTER, DecayNetwork, DecayParams, FieldSpec,
+                        LevelScheme, Manifold, ModelError, SolverError,
+                        SublevelId, TransitionEntry, TransitionTable,
+                        build_hamiltonian, doppler_shifts, evolve,
+                        load_preset, scenario_from_config, steady_state,
+                        steady_states, suggest_dt, vectorize)
+from vaporplate import liouville
+from vaporplate.liouville import _driven
 
 
 def two_level(rabi=1.0, detuning=0.0, gamma=1.0):
@@ -217,19 +222,75 @@ def test_steady_states_without_signal_coordinates():
     assert steady_states(liou, 0.9, []).shape == (0, 2, 2)
 
 
-def test_elimination_blocks_on_fig7_full():
-    """fig7-full's coordinates split into the excited block eliminated once
-    per generator, the ground block and pump coherences eliminated per
-    velocity node, and the coordinates the signal detuning moves."""
-    scn = load_preset("fig7-full")
+def test_steady_states_across_detuning_chunks(monkeypatch):
+    """Detuning counts that split into several stacked solves, the last
+    one partial, match the dense solve cell by cell without falling back."""
+    scn = load_preset("fig1-ideal")
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
+    assert len(liou._elimination.d_moving) > 0
+    shifts = np.linspace(-40.0, 40.0, 2 * liouville.Q_CHUNK + 3)
+    dense = np.array([steady_state(liou, 0.3, s) for s in shifts])
+
+    def no_fallback(*args):
+        raise AssertionError("dense fallback used")
+    monkeypatch.setattr(liouville, "steady_state", no_fallback)
+    stack = steady_states(liou, 0.3, shifts)
+    assert np.allclose(stack, dense, rtol=1e-9, atol=1e-12)
+
+
+def fig7_full_liouvillian(**decay):
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig7-full.yaml").read_text())
+    cfg["decay"].update(decay)
+    scn = scenario_from_config(cfg)
+    h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+    return vectorize(h, scn.scheme, scn.network), scn
+
+
+def test_elimination_blocks_on_fig7_full():
+    """fig7-full's driven coordinates split into the excited block
+    eliminated once per generator, the ground block and pump coherences
+    eliminated per velocity node, and the coordinates the signal detuning
+    moves; the 142 coordinates left out are strictly damped coherences."""
+    liou, scn = fig7_full_liouvillian()
     el = liou._elimination
     n_e = len(el.z)
-    assert (n_e, len(el.s_rr), len(el.d_moving)) == (74, 106, 78)
+    assert (n_e, len(el.s_rr), len(el.d_moving)) == (38, 42, 36)
     tiers = np.asarray(scn.scheme.tiers)
     assert np.all(tiers[el.rows[:n_e]] >= 1)
     assert not np.any(el.d_pump[:n_e])
+    dropped = ~_driven(liou)
+    assert np.count_nonzero(dropped) == 142
+    assert not np.any(dropped[liou.populations])
+    assert np.all(np.diagonal(liou.m).real[dropped] < 0)
+
+
+def test_driven_set_keeps_every_coordinate_without_ground_relaxation():
+    """With gamma_g = 0 some ground coherences outside the driven set are
+    not damped, so the reduction is not exact and nothing is left out."""
+    liou, _ = fig7_full_liouvillian(gamma_g=0.0)
+    assert np.all(_driven(liou))
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp",
+                                    "fig7-reduced15", "fig7-full"])
+def test_dense_steady_state_vanishes_off_the_driven_set(preset, geometry):
+    """The dense solve of the whole generator is exactly zero on every
+    coordinate the elimination leaves out, at any velocity and detuning."""
+    scn = load_preset(preset)
+    h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+    liou = vectorize(h, scn.scheme, scn.network)
+    dropped = ~_driven(liou)
+    pump, signal = scn.fields["pump"], scn.fields["signal"]
+    rng = np.random.default_rng(14)
+    for _ in range(4):
+        v, delta_s = rng.uniform(-400.0, 400.0), rng.uniform(-600.0, 600.0)
+        shift_p, shift_s = doppler_shifts(v, geometry, pump.k, signal.k)
+        rho = steady_state(liou, shift_p,
+                           delta_s - signal.detuning + shift_s)
+        assert np.all(rho[liou.rows[dropped], liou.cols[dropped]] == 0.0)
 
 
 def test_steady_state_scale_invariance():
