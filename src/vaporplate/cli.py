@@ -108,6 +108,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lcr(args) -> int:
+    if args.e0 is not None and not 0 < args.e0 < math.inf:
+        raise ConfigError(f"--e0 must be finite and > 0, got {args.e0!r}")
+    for option, values in (("--thetas-deg", args.thetas_deg),
+                           ("--voltages", args.voltages)):
+        if values and not all(map(math.isfinite, values)):
+            raise ConfigError(f"{option} values must be finite")
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry)
     delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
@@ -214,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="Doppler-averaged detuning sweep to CSV")
     _add_scenario_args(p)
     p.add_argument("--out", required=True, metavar="CSV")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="worker processes, at most one per block of velocity "
+                        "nodes and per usable CPU (default 1)")
     p.add_argument("--points", type=_positive_int,
                    help="override detuning count")
     p.add_argument("--velocity-points", type=_positive_int)

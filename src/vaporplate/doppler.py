@@ -1,13 +1,17 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-The sweep is velocity-major: each velocity node is one call of
-liouville.steady_states, which reuses the generator's eliminated excited
-block, eliminates the ground block and pump coherences once for the node
-and then solves one small system per detuning.
-The node's rows are weight-summed into the average in grid order, on one
-worker or on a process pool over velocity nodes, so results do not depend
-on the worker count.  A checkpoint holds that partial sum and the number of
-nodes in it, so a resumed sweep continues the same sum.
+The sweep is velocity-major and works in blocks of velocity nodes: each
+block is one call of liouville.steady_states, which reuses the generator's
+eliminated excited block, eliminates the ground block and pump coherences
+of every node of the block in one stacked solve and then solves one small
+system per (node, detuning) cell.  A block holds CELLS // detunings nodes
+(liouville.CELLS), at least one: 32 nodes at one detuning, a single node
+from 17 detunings on.  A node's rows do not depend on the block around
+it.  They are weight-summed into the average node by node in grid order,
+on one worker or on a process pool over blocks, so results do not depend
+on the worker count or the block size.  A checkpoint holds that partial
+sum and the number of nodes in it, so a resumed sweep continues the same
+sum.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
-from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
+from .liouville import (CELLS, DecayNetwork, FieldSpec, Liouvillian,
                         build_hamiltonian, steady_states, vectorize)
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
@@ -109,9 +114,9 @@ def _check_nodes(n: int) -> None:
         raise ModelError(f"a velocity grid needs at least one node, got {n}")
 
 
-def doppler_shifts(v: float, geometry: str, k_pump: float, k_signal: float
-                   ) -> tuple[float, float]:
-    """Detuning shifts (pump, signal) for an atom at velocity v.
+def doppler_shifts(v, geometry: str, k_pump: float, k_signal: float):
+    """Detuning shifts (pump, signal) for an atom at velocity v, a float or
+    an array of velocities.
 
     Counter-propagating beams shift with opposite signs, co-propagating with
     the same sign; the overall sign convention is fixed here."""
@@ -155,20 +160,26 @@ def _generator(spec: SweepSpec) -> Liouvillian:
     return vectorize(h, spec.scheme, spec.network)
 
 
-def _velocity_rows(spec: SweepSpec, liou: Liouvillian, v: float
+def _velocity_rows(spec: SweepSpec, liou: Liouvillian, velocities
                    ) -> np.ndarray:
-    """The response at every detuning for atoms at velocity v, one
-    (phi_plus, phi_minus, alpha_plus, alpha_minus) row per detuning."""
+    """The response at every detuning for atoms at each of a block of
+    velocities: a (nodes, detunings, 4) stack of (phi_plus, phi_minus,
+    alpha_plus, alpha_minus) rows."""
     pump, signal = spec.fields["pump"], spec.fields["signal"]
-    shift_p, shift_s = doppler_shifts(v, spec.geometry, pump.k, signal.k)
+    shift_p, shift_s = doppler_shifts(np.asarray(velocities), spec.geometry,
+                                      pump.k, signal.k)
     try:
-        rho = steady_states(liou, shift_p,
-                            (spec.detunings - signal.detuning) + shift_s)
+        rho = steady_states(liou, shift_p, (spec.detunings - signal.detuning)
+                            + shift_s[:, None])
     except SolverError as exc:
-        raise SolverError(f"{exc} at v={v:g}") from exc
+        if len(velocities) > 1:
+            # a node at a time, which names the node that fails
+            return np.concatenate([_velocity_rows(spec, liou, (v,))
+                                   for v in velocities])
+        raise SolverError(f"{exc} at v={velocities[0]:g}") from exc
     r = response_from_density(rho, spec.scheme, spec.transitions, signal,
                               spec.medium)
-    return np.column_stack(r.as_tuple())
+    return np.stack(r.as_tuple(), axis=-1)
 
 
 def _fingerprint(spec: SweepSpec, liou: Liouvillian) -> str:
@@ -188,7 +199,10 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     """Doppler-averaged responses, one per signal detuning.
 
     The average is summed over velocity nodes in grid order whatever the
-    worker count; progress(done, total) counts velocity nodes.  With a
+    worker count; progress(done, total) counts velocity nodes.  The pool
+    has at most as many workers as there are blocks of nodes to solve and
+    CPUs this process may run on; with one, the sweep runs in this
+    process.  With a
     checkpoint path the partial sum is saved every 16 nodes and at the end,
     and a resumed sweep continues it, so its rows are bit-identical to an
     uninterrupted run; a checkpoint written for a different spec, or in an
@@ -218,16 +232,27 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
 
     rows_at = partial(_velocity_rows, spec, liou)
     todo = velocities[done:]
-    if workers <= 1 or len(todo) <= 1:
-        reduce(map(rows_at, todo))
+    size = max(1, CELLS // len(spec.detunings))
+    blocks = [todo[lo:lo + size] for lo in range(0, len(todo), size)]
+    workers = min(workers, len(blocks), _cpu_count())
+    if workers <= 1:
+        reduce(chain.from_iterable(map(rows_at, blocks)))
     else:
-        chunk = max(1, len(todo) // (workers * 4))
+        chunk = max(1, len(blocks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reduce(pool.map(rows_at, todo, chunksize=chunk))
+            reduce(chain.from_iterable(
+                pool.map(rows_at, blocks, chunksize=chunk)))
 
     if not np.all(np.isfinite(acc)):
         raise SolverError("the Doppler-averaged response is not finite")
     return [OpticalResponse(*row) for row in acc.tolist()]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _save_checkpoint(path: str, fingerprint: str, acc: np.ndarray,

@@ -8,15 +8,18 @@ The generator is homogeneous (d vec/dt = M vec, s = 0); the trace is
 imposed at solve time.  This module is the only one that knows the
 coordinate layout: `vectorize` records the index arrays and how each
 diagonal entry of M moves with extra pump and signal detuning.
+`vectorize` builds -i[H, .] directly on the retained coordinates.
 `steady_state` is the dense per-cell solve and the oracle;
-`steady_states` solves any number of signal detunings at one pump shift by
-block elimination (Schur complements) on the driven coordinates only, those
-a population reaches through the generator's couplings; the Zeeman
-selection rules leave the rest in coherence-only blocks whose steady state
-is exactly zero.  It eliminates the excited block, which no shift moves,
-once per generator; the ground block and pump coherences once per call;
-then it solves one small system per detuning.  It falls back to
-`steady_state` for every cell when any of its checks fails.
+`steady_states` solves a block of velocity nodes, each with its pump shift
+and any number of signal detunings, by block elimination (Schur
+complements) on the driven coordinates only, those a population reaches
+through the generator's couplings; the Zeeman selection rules leave the
+rest in coherence-only blocks whose steady state is exactly zero.  It
+eliminates the excited block, which no shift moves, once per generator;
+the ground block and pump coherences of every node in one stacked solve
+per call; then one small system per (node, detuning) cell, in stacks of
+CELLS cells.  A node with a cell that fails any of its checks is solved
+by `steady_state` alone.
 """
 
 from __future__ import annotations
@@ -30,10 +33,13 @@ import numpy as np
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
 
-# Detunings per stacked Q solve in steady_states: bounds the working stack
-# to Q_CHUNK * n_q**2 complex entries (1.3 MB on fig7-full) however many
-# detunings a call asks for.
-Q_CHUNK = 64
+# Cells (velocity node x signal detuning) per stacked Q solve in
+# steady_states, and the cells a sweep's block of velocity nodes holds
+# unless one node has more (doppler): bounds the working stacks to about
+# CELLS * n_r**2 complex entries (0.9 MB on fig7-full) whatever the
+# detuning count.  On fig7-full at one detuning 16 to 32 nodes a block
+# were fastest; 64 was 10% slower and had a larger peak memory.
+CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,10 @@ class Liouvillian:
             return None
         # [S0 | c] = [A_rest,rest | b_rest] - A_rest,E [Z | y0]
         sc = np.column_stack([a[n_e:, n_e:], b[n_e:]]) - a[n_e:, :n_e] @ zy
+        # where each coordinate of rho sits in E, R, Q order; the driven
+        # set holds each coordinate's transpose (_driven)
+        position = np.full((self.n_levels, self.n_levels), -1)
+        position[self.rows[order], self.cols[order]] = np.arange(len(order))
         return _Elimination(
             a=a, saved_row=saved_row,
             trace_row=int(np.flatnonzero(order == self.populations[-1])[0]),
@@ -223,7 +233,8 @@ class Liouvillian:
             s_rr=sc[:n_r, :n_r].copy(), rq_c=sc[:n_r, n_r:].copy(),
             s_qr=sc[n_r:, :n_r].copy(), qq_c=sc[n_r:, n_r:].copy(),
             d_pump=self.d_pump[order], d_moving=self.d_signal[q],
-            rows=self.rows[order], cols=self.cols[order])
+            rows=self.rows[order], cols=self.cols[order],
+            partner=position[self.cols[order], self.rows[order]])
 
 
 def _driven(liou: Liouvillian) -> np.ndarray:
@@ -236,7 +247,11 @@ def _driven(liou: Liouvillian) -> np.ndarray:
     plus the real diagonal -(Gamma_i + Gamma_j)/2, and every shift adds an
     imaginary diagonal entry, so with that diagonal strictly negative the
     block is nonsingular at every cell.  Its right-hand side is zero (the
-    trace row is a population's), and so is its part of the steady state."""
+    trace row is a population's), and so is its part of the steady state.
+    The set holds (j, i) with each (i, j): in either direction, -i[H, .]
+    links (i, j) with (i', j) where h[i, i'] or h[i', i] is nonzero, and
+    (j, i) with (j, i') under the same condition, and the decay network
+    links populations only."""
     link = liou.m != 0
     link |= link.T
     driven = np.zeros(len(link), dtype=bool)
@@ -268,6 +283,7 @@ class _Elimination(NamedTuple):
     d_moving: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    partner: np.ndarray     # position of each coordinate's transpose
 
 
 def vectorize(h: np.ndarray, scheme: LevelScheme,
@@ -284,29 +300,29 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
             1e-12 * max(1.0, np.max(np.abs(h))):
         raise ModelError("Hamiltonian must be Hermitian")
 
-    eye = np.eye(n)
-    m_full = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-
-    loss = network.loss_rates()
-    m_full[np.diag_indices(n * n)] -= \
-        0.5 * (loss[:, None] + loss[None, :]).ravel()
-    for src, chans in network.channels:
-        for tgt, rate in chans:
-            m_full[tgt * n + tgt, src * n + src] += rate
-
     lumped = np.array([lev.lumped for lev in scheme.levels])
     keep = np.eye(n, dtype=bool) | ~(lumped[:, None] | lumped[None, :])
     rows, cols = np.nonzero(keep)
-    sel = rows * n + cols
-    excl = np.flatnonzero(~keep.ravel())
-    if excl.size and np.max(np.abs(m_full[np.ix_(sel, excl)])) > 0.0:
+    excl_rows, excl_cols = np.nonzero(~keep)
+    if excl_rows.size and np.max(np.abs(_commutator(
+            h, rows, cols, excl_rows, excl_cols))) > 0.0:
         raise ModelError("excluded lumped coherences feed retained "
                          "coordinates; lumped levels must stay uncoupled")
+
+    m = _commutator(h, rows, cols, rows, cols)
+    loss = network.loss_rates()
+    diag = np.arange(len(rows))
+    m[diag, diag] -= 0.5 * (loss[rows] + loss[cols])
+    slot = np.full((n, n), -1)
+    slot[rows, cols] = diag
+    for src, chans in network.channels:
+        for tgt, rate in chans:
+            m[slot[tgt, tgt], slot[src, src]] += rate
 
     pump_levels, signal_levels = _detuned_levels(scheme)
     tiers = np.asarray(scheme.tiers)
     liou = Liouvillian(
-        m=m_full[np.ix_(sel, sel)], s=np.zeros(sel.size, dtype=complex),
+        m=m, s=np.zeros(len(rows), dtype=complex),
         coords=tuple(zip(rows.tolist(), cols.tolist())), n_levels=n,
         rows=rows, cols=cols, populations=np.flatnonzero(rows == cols),
         d_pump=1j * (pump_levels[rows] - pump_levels[cols]),
@@ -314,6 +330,18 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
         excited=(tiers[rows] == tiers[cols]) & (tiers[rows] >= 1))
     _check_trace_preservation(liou)
     return liou
+
+
+def _commutator(h: np.ndarray, rows_a: np.ndarray, cols_a: np.ndarray,
+                rows_b: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
+    """The block of -i[H, .] from coordinates (rows_b, cols_b) of rho to
+    coordinates (rows_a, cols_a): entry [a, b] is
+    -i (h[r_a, r_b] [c_a == c_b] - [r_a == r_b] h[c_b, c_a]), the same
+    products, in the same order, as -i (H (x) 1 - 1 (x) H^T) in row-major
+    vectorization."""
+    ra, ca = rows_a[:, None], cols_a[:, None]
+    return -1j * (h[ra, rows_b] * (ca == cols_b)
+                  - (ra == rows_b) * h[cols_b, ca])
 
 
 def _check_trace_preservation(liou: Liouvillian) -> None:
@@ -370,11 +398,14 @@ def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
     return rho
 
 
-def steady_states(liou: Liouvillian, pump_shift: float,
+def steady_states(liou: Liouvillian, pump_shifts,
                   signal_shifts) -> np.ndarray:
-    """Steady states at one pump shift and each of signal_shifts, as a
-    (k, n, n) stack; cell j equals steady_state(liou, pump_shift,
-    signal_shifts[j]) to rounding.
+    """Steady states over a block of velocity nodes: node b has pump shift
+    pump_shifts[b] and signal shifts signal_shifts[b], and the result is a
+    (nodes, k, n, n) stack whose cell [b, j] equals steady_state(liou,
+    pump_shifts[b], signal_shifts[b, j]) to rounding.  A scalar pump shift
+    with a (k,) list of signal shifts is the one-node block, returned as a
+    (k, n, n) stack.
 
     Only the driven coordinates are solved for (_driven): the others are
     damped coherences that no driven coordinate couples to, so their part
@@ -388,100 +419,115 @@ def steady_states(liou: Liouvillian, pump_shift: float,
     coordinates.  With the trace row imposed, E is eliminated once per
     generator (Liouvillian._elimination): [Z | y0] = A_EE^-1 [A_E,rest |
     b_E] and the complement [S0 | c] = [A_rest,rest | b_rest] - A_rest,E
-    [Z | y0].  Per call, the pump shift is added to the diagonal of S0, R
-    is eliminated against [S_RQ | c_R], and the Q complement is solved at
-    every signal shift in stacked solves of up to Q_CHUNK shifts; R and
-    then E follow by back-substitution.  The ground tier is not eliminated
-    once with E, although no shift moves it either: it relaxes only at
-    gamma_g, so its block is nearly singular, and eliminating it first put
-    fig7-full rows up to 20 times outside a 1e-9 relative agreement with
-    the dense solve (E alone: within 0.3).
+    [Z | y0].  Per call, each node's pump shift is added to the diagonal of
+    S0 and R is eliminated against [S_RQ | c_R] in one stacked solve over
+    the nodes; the Q complement is solved at every (node, signal shift)
+    cell in stacked solves of up to CELLS cells; R and then E follow by
+    back-substitution.  Every product keeps one node per matrix, so a
+    node's cells do not depend on the block around it.  The ground tier is
+    not eliminated once with E, although no shift moves it either: it
+    relaxes only at gamma_g, so its block is nearly singular, and
+    eliminating it first put fig7-full rows up to 20 times outside a 1e-9
+    relative agreement with the dense solve (E alone: within 0.3).
 
     Every cell is checked against steady_state's residual bound and the
-    density bounds of _validate_density; if an elimination is singular or
-    any cell fails a check, every cell is solved by steady_state instead,
-    which raises SolverError where the generator has no valid steady
-    state.  One shift takes the same path as many.
+    density bounds of _validate_density.  A node with a cell that fails a
+    check has all its cells solved by steady_state instead, and so has
+    every node if an elimination is singular; steady_state raises
+    SolverError where the generator has no valid steady state.
     """
+    pump = np.atleast_1d(np.asarray(pump_shifts, dtype=float))
     shifts = np.asarray(signal_shifts, dtype=float)
-    rho = None
+    shifts = shifts.reshape(len(pump), shifts.shape[-1])
+    rho, ok = None, np.zeros(shifts.shape, dtype=bool)
     if liou._elimination is not None:
         try:
-            rho = _eliminated_states(liou, pump_shift, shifts)
+            rho, ok = _eliminated_states(liou, pump, shifts)
         except np.linalg.LinAlgError:
             pass
     if rho is None:
-        rho = np.empty((len(shifts), liou.n_levels, liou.n_levels),
+        rho = np.empty((*shifts.shape, liou.n_levels, liou.n_levels),
                        dtype=complex)
-        for j, shift in enumerate(shifts):
-            rho[j] = steady_state(liou, pump_shift, shift)
-    return rho
+    for b in np.flatnonzero(~ok.all(axis=1)):
+        for j, shift in enumerate(shifts[b]):
+            rho[b, j] = steady_state(liou, pump[b], shift)
+    return rho if np.ndim(pump_shifts) else rho[0]
 
 
-def _eliminated_states(liou: Liouvillian, pump_shift: float,
-                       shifts: np.ndarray) -> np.ndarray | None:
-    """steady_states by elimination; None if any cell fails a check."""
+def _eliminated_states(liou: Liouvillian, pump_shifts: np.ndarray,
+                       shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """steady_states by elimination, and per cell whether it passed the
+    checks."""
     el = liou._elimination
     n = len(el.a)
     n_e, n_r, n_q = len(el.z), len(el.s_rr), len(el.d_moving)
     n_f = n_e + n_r          # Q starts here
-    pump = el.d_pump * pump_shift
+    nodes, k = shifts.shape
+    pump = el.d_pump * pump_shifts[:, None]
     r_diag = np.arange(n_r)
     q_diag = np.arange(n_q)
 
-    # [Z2 | y2] = S_RR^-1 [S_RQ | c_R]
-    # [Sq | cq] = [S_QQ | c_Q] - S_QR [Z2 | y2]
-    s_rr = el.s_rr.copy()
-    s_rr[r_diag, r_diag] += pump[n_e:n_f]
-    zy = np.linalg.solve(s_rr, el.rq_c)
-    sc = el.qq_c - el.s_qr @ zy
-    sc[q_diag, q_diag] += pump[n_f:]
-    c, sc = sc[:, n_q], sc[:, :n_q]
+    # per node: [Z2 | y2] = S_RR^-1 [S_RQ | c_R]
+    #           [Sq | cq] = [S_QQ | c_Q] - S_QR [Z2 | y2]
+    # Every right-hand side is 3-D, a stack of matrices under both numpy
+    # 1.x and 2.x broadcasting rules.
+    s_rr = np.repeat(el.s_rr[None], nodes, axis=0)
+    s_rr[:, r_diag, r_diag] += pump[:, n_e:n_f]
+    zy = np.linalg.solve(s_rr, np.broadcast_to(el.rq_c, (nodes,
+                                                         *el.rq_c.shape)))
+    del s_rr
+    sc = el.s_qr @ zy
+    np.subtract(el.qq_c, sc, out=sc)
+    sc[:, q_diag, q_diag] += pump[:, n_f:]
+    c, sc = sc[:, :, n_q], sc[:, :, :n_q]
 
-    # stacked solves over the detunings, Q_CHUNK at a time: Sq with each
-    # shift on its diagonal.  The right-hand side is 3-D, a stack of
-    # matrices under both numpy 1.x and 2.x broadcasting rules.
-    x = np.empty((n, len(shifts)), dtype=complex)
-    for lo in range(0, len(shifts), Q_CHUNK):
-        part = shifts[lo:lo + Q_CHUNK]
-        stack = np.repeat(sc[None], len(part), axis=0)
-        stack[:, q_diag, q_diag] += np.multiply.outer(part, el.d_moving)
-        x[n_f:, lo:lo + len(part)] = \
-            np.linalg.solve(stack, c[None, :, None])[..., 0].T
-    x[n_e:n_f] = zy[:, n_q:] - zy[:, :n_q] @ x[n_f:]
-    x[:n_e] = el.y0 - el.z @ x[n_e:]
+    # stacked solves over the cells, CELLS at a time: each node's Sq with
+    # the cell's signal shift on its diagonal
+    node = np.repeat(np.arange(nodes), k)
+    flat = shifts.ravel()
+    xq = np.empty((nodes * k, n_q), dtype=complex)
+    for lo in range(0, len(flat), CELLS):
+        part = slice(lo, lo + CELLS)
+        stack = sc[node[part]]
+        stack[:, q_diag, q_diag] += np.multiply.outer(flat[part], el.d_moving)
+        xq[part] = np.linalg.solve(stack, c[node[part], :, None])[..., 0]
+    x = np.empty((nodes, n, k), dtype=complex)
+    x[:, n_f:] = xq.reshape(nodes, k, n_q).transpose(0, 2, 1)
+    x[:, n_e:n_f] = zy[:, :, n_q:] - zy[:, :, :n_q] @ x[:, n_f:]
+    x[:, :n_e] = el.y0 - el.z @ x[:, n_e:]
 
     # residual against the true generator: the trace row is the saved one,
     # the pump shift moves the diagonal and the signal shift that of Q
-    row = el.trace_row
     r = el.a @ x
-    r += pump[:, None] * x
-    r[n_f:] += el.d_moving[:, None] * shifts * x[n_f:]
-    r[row] = el.saved_row @ x
-    resid = np.max(np.abs(r), axis=0)
+    r += pump[:, :, None] * x
+    r[:, n_f:] += el.d_moving[:, None] * shifts[:, None, :] * x[:, n_f:]
+    r[:, el.trace_row] = el.saved_row @ x
+    resid = np.abs(r).max(axis=1)
     ok = resid <= 1e-9
-    if not np.all(ok):
+    if not ok.all():
         # steady_state's bound 1e-9 * max|A| over each cell's own matrix,
         # which differs from el.a only on the diagonal
-        diag = np.arange(n)
-        mag = np.abs(el.a)
-        mag[diag, diag] = np.abs(np.diagonal(el.a) + pump)
-        mag[n_f + q_diag, n_f + q_diag] = 0.0
-        cell_diag = np.diagonal(el.a)[n_f:] + pump[n_f:] + \
+        a_diag = np.diagonal(el.a)
+        off = np.abs(el.a)
+        off[np.arange(n), np.arange(n)] = 0.0
+        node_max = np.maximum(np.max(off), np.max(np.abs(a_diag[:n_f] +
+                                                         pump[:, :n_f]),
+                                                  axis=1))
+        cell_diag = a_diag[n_f:] + pump[:, None, n_f:] + \
             np.multiply.outer(shifts, el.d_moving)
-        cell_max = np.maximum(np.max(mag),
-                              np.max(np.abs(cell_diag), axis=1, initial=0.0))
+        cell_max = np.maximum(node_max[:, None],
+                              np.max(np.abs(cell_diag), axis=2, initial=0.0))
         ok |= resid <= 1e-9 * cell_max
 
-    rho = np.zeros((len(shifts), liou.n_levels, liou.n_levels),
-                   dtype=complex)
-    rho[:, el.rows, el.cols] = x.T
-    herm = np.max(np.abs(rho - rho.conj().transpose(0, 2, 1)), axis=(1, 2))
-    pops = np.diagonal(rho, axis1=1, axis2=2).real
+    # rho - rho^H vanishes off the driven coordinates
+    herm = np.abs(x - x[:, el.partner].conj()).max(axis=1)
+    rho = np.zeros((nodes, k, liou.n_levels, liou.n_levels), dtype=complex)
+    rho[:, :, el.rows, el.cols] = x.transpose(0, 2, 1)
+    pops = np.diagonal(rho, axis1=-2, axis2=-1).real
     ok &= herm <= 1e-10
-    ok &= np.abs(np.sum(pops, axis=1) - 1.0) <= 1e-8
-    ok &= np.min(pops, axis=1) >= -1e-8
-    return rho if np.all(ok) else None
+    ok &= np.abs(pops.sum(axis=-1) - 1.0) <= 1e-8
+    ok &= pops.min(axis=-1) >= -1e-8
+    return rho, ok
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

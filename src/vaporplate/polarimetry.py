@@ -260,8 +260,11 @@ class LcrScan:
     def __post_init__(self):
         if len(self.thetas) != len(self.intensities):
             raise ModelError("scan sample arrays differ in length")
-        if any(i < 0 for i in self.intensities):
-            raise ModelError("scan intensities must be >= 0")
+        if not 0 < self.e0 < math.inf:
+            raise ModelError(f"scan intensity scale e0 must be finite and "
+                             f"> 0, got {self.e0!r}")
+        if not all(i >= 0 for i in self.intensities):
+            raise ModelError("scan intensities must be >= 0 and not NaN")
 
 
 def synthesize_scan(response: OpticalResponse, thetas, e0: float = 1.0
@@ -292,6 +295,13 @@ def _fit_scan(thetas: np.ndarray, intensities: np.ndarray, e0: float,
     enter only the residual; three distinct retardances determine the fit
     exactly.  cos(phi_d) is even, so both phase branches are reported.
     """
+    if not 0 < e0 < math.inf:
+        raise InversionError(f"e0 must be finite and > 0, got {e0!r}")
+    if not math.isfinite(alpha_minus):
+        raise InversionError(f"alpha_minus must be finite, got "
+                             f"{alpha_minus!r}")
+    if not np.all(np.isfinite(thetas)):
+        raise InversionError("retardances must be finite")
     design = np.column_stack([1.0 + np.sin(thetas), 1.0 - np.sin(thetas),
                               -2.0 * np.cos(thetas)])
     (k, ku, kw), _, rank, sv = np.linalg.lstsq(design, intensities,

@@ -120,7 +120,7 @@ def test_config_error_exits_one(tmp_path, capsys):
 
 
 def test_sweep_point_counts_must_be_positive(tmp_path, capsys):
-    for flag in ("--points", "--velocity-points"):
+    for flag in ("--points", "--velocity-points", "--workers"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--preset", "fig1-ideal", "--out",
                   str(tmp_path / "x.csv"), flag, "0"])
@@ -166,6 +166,27 @@ def test_nan_input_exits_one(tmp_path, capsys):
     code, _, err = run(capsys, "lcr", "--preset", "fig1-ideal",
                        "--signal-detuning", "nan")
     assert code == 1 and "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--e0", "nan"), ("--e0", "-2"), ("--e0", "0"), ("--e0", "inf"),
+    ("--thetas-deg", "nan", "90"), ("--voltages", "nan"),
+    ("--voltages", "2", "inf")])
+def test_lcr_rejects_bad_analyzer_inputs(capsys, argv):
+    code, out, err = run(capsys, "lcr", "--preset", "fig1-ideal", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[0] in err
+
+
+def test_invert_rejects_non_finite_scale_and_attenuation(tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    path.write_text("30,0.5\n90,0.6\n150,0.2\n")
+    for argv in (("--e0", "nan"), ("--e0", "-1"),
+                 ("--e0", "1", "--alpha-minus", "nan")):
+        code, out, err = run(capsys, "invert", "--scan", str(path), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _reduced15_copy(tmp_path, edit):

@@ -14,7 +14,7 @@ from vaporplate import (CO, COUNTER, ModelError, SolverError,
                         load_preset, read_sweep_csv, response_from_density,
                         scenario_from_config, steady_state, sweep,
                         thermal_rms_velocity, vectorize, write_sweep_csv)
-from vaporplate import liouville
+from vaporplate import doppler, liouville, steady_states
 from vaporplate.doppler import MAX_GAUSS_HERMITE_NODES
 
 
@@ -184,6 +184,132 @@ def test_sweep_without_ground_relaxation_reports_nonunique_state(
         sweep(spec)
 
 
+SWEEP_PRESETS = ["fig1-ideal", "fig8-qwp", "fig7-reduced15", "fig7-full"]
+
+
+def bits(responses):
+    return np.array([r.as_tuple() for r in responses]).view(np.uint64)
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_rows_do_not_depend_on_block_size(preset, geometry, monkeypatch):
+    """A node's rows are bit-identical whether its block holds one node,
+    the default CELLS // detunings, or the whole grid, and no cell needs
+    the dense fallback."""
+    scn = load_preset(preset)
+    grid = VelocityGrid.gauss_hermite(40)
+    for detunings in ([245.0], [-300.0, 10.0, 250.0]):
+        spec = small_spec(scn, detunings, grid=grid, geometry=geometry)
+        with monkeypatch.context() as patch:
+            patch.setattr(liouville, "steady_state", no_dense_fallback)
+            reference = bits(sweep(spec))
+            for cells in (1, len(detunings) * len(grid.velocities)):
+                patch.setattr(doppler, "CELLS", cells)
+                assert np.array_equal(bits(sweep(spec)), reference)
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_failing_node_alone_takes_the_dense_path(preset, geometry,
+                                                 monkeypatch):
+    """When one node of a block fails a check, that node alone is solved
+    by steady_state; the other nodes keep their eliminated rows bit for
+    bit."""
+    scn = load_preset(preset)
+    grid = VelocityGrid.gauss_hermite(9)
+    spec = small_spec(scn, [-20.0, 245.0], grid=grid, geometry=geometry)
+    assert doppler.CELLS // 2 >= len(grid.velocities)   # one block
+    reference = np.array([r.as_tuple() for r in sweep(spec)])
+    bad = 3
+    eliminated = liouville._eliminated_states
+
+    def fail_one_node(liou, pump_shifts, shifts):
+        rho, ok = eliminated(liou, pump_shifts, shifts)
+        ok[bad, 1] = False           # one cell of one node
+        return rho, ok
+    dense_pumps = []
+    dense = liouville.steady_state
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        dense_pumps.append(pump_shift)
+        return dense(liou, pump_shift, signal_shift)
+    monkeypatch.setattr(liouville, "_eliminated_states", fail_one_node)
+    monkeypatch.setattr(liouville, "steady_state", record)
+    per_node = []
+    monkeypatch.setattr(doppler, "response_from_density",
+                        lambda rho, *args: per_node.append(rho)
+                        or response_from_density(rho, *args))
+    rows = np.array([r.as_tuple() for r in sweep(spec)])
+    pump_k, signal_k = spec.fields["pump"].k, spec.fields["signal"].k
+    v_bad = grid.velocities[bad]
+    shift_p, _ = doppler_shifts(v_bad, geometry, pump_k, signal_k)
+    assert dense_pumps == [shift_p] * 2      # its two cells, nothing else
+    assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
+    # the nodes that passed are bit-identical to an unpatched block
+    monkeypatch.undo()
+    (stack,) = per_node
+    liou = doppler._generator(spec)
+    shifts = [doppler_shifts(v, geometry, pump_k, signal_k)
+              for v in grid.velocities]
+    clean = steady_states(liou, np.array([p for p, _ in shifts]),
+                          spec.detunings - spec.fields["signal"].detuning
+                          + np.array([s for _, s in shifts])[:, None])
+    keep = np.arange(len(shifts)) != bad
+    assert np.array_equal(stack[keep].view(np.uint64),
+                          clean[keep].view(np.uint64))
+    assert np.allclose(stack[bad], clean[bad], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_resume_inside_a_block_matches_uninterrupted(preset, geometry,
+                                                     tmp_path):
+    """At one detuning a block holds CELLS nodes; a sweep stopped after
+    node 20 resumes from the checkpoint of node 16, inside the first
+    block, and its rows are bit-identical to an uninterrupted run."""
+    scn = load_preset(preset)
+    spec = small_spec(scn, [245.0], grid=VelocityGrid.uniform(40),
+                      geometry=geometry)
+    assert doppler.CELLS > 20
+    ck = str(tmp_path / "sweep.ckpt.npz")
+
+    def stop_after_20(done, total):
+        if done == 20:
+            raise Interrupt
+    with pytest.raises(Interrupt):
+        sweep(spec, progress=stop_after_20, checkpoint=ck)
+    seen = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == list(range(17, 41))
+    assert np.array_equal(bits(resumed), bits(sweep(spec)))
+
+
+def test_singular_block_solves_every_node_densely(monkeypatch):
+    """A LinAlgError in the block's stacked solves sends every node of the
+    block to steady_state."""
+    scn = load_preset("fig7-reduced15")
+    liou = doppler._generator(small_spec(scn, [0.0]))
+    pumps = np.array([-3.0, 0.5, 8.0])
+    shifts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    want = steady_states(liou, pumps, shifts)
+    calls = []
+    dense = liouville.steady_state
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        calls.append((pump_shift, signal_shift))
+        return dense(liou, pump_shift, signal_shift)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(liouville, "_eliminated_states", singular)
+    monkeypatch.setattr(liouville, "steady_state", record)
+    got = steady_states(liou, pumps, shifts)
+    assert calls == [(p, s) for p, row in zip(pumps, shifts) for s in row]
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 def test_degenerate_grid_sweep_equals_direct_solve(fig7):
     spec = small_spec(fig7, [-50.0, 0.0, 50.0])
     responses = sweep(spec)
@@ -234,6 +360,54 @@ def test_sweep_worker_count_does_not_change_output(fig7):
     parallel = sweep(spec, workers=2)
     for a, b in zip(serial, parallel):
         assert a.as_tuple() == b.as_tuple()     # bit-identical
+
+
+def test_pool_over_blocks_matches_serial(fig7, monkeypatch):
+    """With blocks of two nodes the pool gets two blocks; its rows are
+    bit-identical to the serial sweep's."""
+    spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
+                      grid=VelocityGrid.gauss_hermite(4))
+    serial = bits(sweep(spec))
+    monkeypatch.setattr(doppler, "CELLS", 12)
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_worker_count_is_capped(fig7, monkeypatch):
+    """The pool never has more workers than blocks to solve or CPUs this
+    process may run on, and is not started for one block."""
+    monkeypatch.setattr(doppler, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 3)
+    grid = VelocityGrid.gauss_hermite(8)
+    many = small_spec(fig7, np.linspace(-40.0, 40.0, 20), grid=grid)
+    few = small_spec(fig7, np.linspace(-40.0, 40.0, 10), grid=grid)
+    one = small_spec(fig7, [0.0], grid=grid)
+    reference = bits(sweep(many))
+    assert np.array_equal(bits(sweep(many, workers=10 ** 6)), reference)
+    sweep(few, workers=10 ** 6)      # 3 nodes a block: 3 blocks
+    sweep(many, workers=2)
+    sweep(one, workers=64)           # a single block of 8 nodes
+    assert RecordingPool.sizes == [3, 3, 2]
 
 
 def test_sweep_progress_callback(fig7):

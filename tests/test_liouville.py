@@ -137,6 +137,69 @@ def test_lumped_coherences_are_excluded():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+def lumped_scheme():
+    manifolds = [
+        Manifold("G", tier=0, j=0.5, f_values=(0,)),
+        Manifold("E", tier=1, j=0.5, f_values=(1,), mf_values=(1,)),
+        Manifold("R", tier=1, j=1.5, f_values=(1, 2), lumped=True),
+    ]
+    scheme = LevelScheme.build(manifolds, DecayParams())
+    network = DecayNetwork.from_dict({1: [(2, 1.0)], 2: [(0, 0.5)]}, 3)
+    return scheme, network
+
+
+def test_lumped_coupling_in_hamiltonian_is_rejected():
+    """A Hamiltonian that couples a lumped level feeds the excluded
+    coherences into retained coordinates, which vectorize refuses."""
+    scheme, network = lumped_scheme()
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 2] = h[2, 0] = 0.3
+    with pytest.raises(ModelError, match="lumped levels must stay"):
+        vectorize(h, scheme, network)
+
+
+def kron_generator(h, scheme, network):
+    """The generator as the Kronecker-product formula builds it on all n**2
+    coordinates, with the decay network, restricted to the retained
+    coordinates."""
+    n = scheme.n_levels
+    eye = np.eye(n)
+    m_full = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    loss = network.loss_rates()
+    m_full[np.diag_indices(n * n)] -= \
+        0.5 * (loss[:, None] + loss[None, :]).ravel()
+    for src, chans in network.channels:
+        for tgt, rate in chans:
+            m_full[tgt * n + tgt, src * n + src] += rate
+    lumped = np.array([lev.lumped for lev in scheme.levels])
+    keep = np.eye(n, dtype=bool) | ~(lumped[:, None] | lumped[None, :])
+    sel = np.flatnonzero(keep.ravel())
+    return m_full[np.ix_(sel, sel)]
+
+
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp",
+                                    "fig7-reduced15", "fig7-full"])
+def test_vectorize_matches_kron_formula_bit_for_bit(preset):
+    """vectorize builds -i[H, .] on the retained coordinates directly; every
+    entry, signed zeros included, equals the Kronecker-product formula's."""
+    scn = load_preset(preset)
+    fields = scn.fields
+    cases = [build_hamiltonian(scn.scheme, scn.transitions, fields),
+             build_hamiltonian(scn.scheme, scn.transitions, fields,
+                               velocity_shifts=(-37.5, 12.25))]
+    for h in cases:
+        liou = vectorize(h, scn.scheme, scn.network)
+        want = kron_generator(h, scn.scheme, scn.network)
+        assert liou.m.shape == want.shape
+        assert np.array_equal(liou.m.view(np.uint64), want.view(np.uint64))
+    scheme, network = lumped_scheme()
+    h = np.array([[0.0, 0.4 - 0.1j, 0.0], [0.4 + 0.1j, -1.5, 0.0],
+                  [0.0, 0.0, 2.0]])
+    want = kron_generator(h, scheme, network)
+    assert np.array_equal(vectorize(h, scheme, network).m.view(np.uint64),
+                          want.view(np.uint64))
+
+
 def test_orphaning_network_raises():
     scheme, table, fields, _ = two_level()
     h = build_hamiltonian(scheme, table, fields)
@@ -223,20 +286,30 @@ def test_steady_states_without_signal_coordinates():
 
 
 def test_steady_states_across_detuning_chunks(monkeypatch):
-    """Detuning counts that split into several stacked solves, the last
-    one partial, match the dense solve cell by cell without falling back."""
+    """Cell counts that split into several stacked solves, the last one
+    partial, match the dense solve cell by cell without falling back, for
+    one node and for a block of nodes whose chunks straddle node
+    boundaries."""
     scn = load_preset("fig1-ideal")
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
     assert len(liou._elimination.d_moving) > 0
-    shifts = np.linspace(-40.0, 40.0, 2 * liouville.Q_CHUNK + 3)
+    shifts = np.linspace(-40.0, 40.0, 2 * liouville.CELLS + 3)
+    pumps = np.array([0.3, -7.0, 12.5])
+    block_shifts = shifts[:liouville.CELLS // 2 + 1] + pumps[:, None]
     dense = np.array([steady_state(liou, 0.3, s) for s in shifts])
+    block_dense = np.array([[steady_state(liou, p, s) for s in row]
+                            for p, row in zip(pumps, block_shifts)])
 
     def no_fallback(*args):
         raise AssertionError("dense fallback used")
     monkeypatch.setattr(liouville, "steady_state", no_fallback)
     stack = steady_states(liou, 0.3, shifts)
+    assert stack.shape == dense.shape
     assert np.allclose(stack, dense, rtol=1e-9, atol=1e-12)
+    block = steady_states(liou, pumps, block_shifts)
+    assert block.shape == block_dense.shape
+    assert np.allclose(block, block_dense, rtol=1e-9, atol=1e-12)
 
 
 def fig7_full_liouvillian(**decay):
@@ -278,10 +351,14 @@ def test_driven_set_keeps_every_coordinate_without_ground_relaxation():
                                     "fig7-reduced15", "fig7-full"])
 def test_dense_steady_state_vanishes_off_the_driven_set(preset, geometry):
     """The dense solve of the whole generator is exactly zero on every
-    coordinate the elimination leaves out, at any velocity and detuning."""
+    coordinate the elimination leaves out, at any velocity and detuning;
+    the coordinates it keeps hold each one's transpose."""
     scn = load_preset(preset)
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
+    el = liou._elimination
+    assert np.array_equal(el.rows[el.partner], el.cols)
+    assert np.array_equal(el.cols[el.partner], el.rows)
     dropped = ~_driven(liou)
     pump, signal = scn.fields["pump"], scn.fields["signal"]
     rng = np.random.default_rng(14)

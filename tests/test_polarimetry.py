@@ -174,6 +174,11 @@ def test_lcr_scan_validation():
         LcrScan((0.0, 1.0), (1.0,))
     with pytest.raises(ModelError):
         LcrScan((0.0, 1.0), (1.0, -0.1))
+    with pytest.raises(ModelError, match="NaN"):
+        LcrScan((0.0, 1.0), (1.0, math.nan))
+    for e0 in (math.nan, math.inf, 0.0, -2.0):
+        with pytest.raises(ModelError, match="e0"):
+            LcrScan((0.0, 1.0), (1.0, 0.5), e0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,23 @@ def test_inversion_rejects_degenerate_triple():
 def test_inversion_rejects_inconsistent_samples():
     with pytest.raises(InversionError, match="inconsistent"):
         invert_scan(THETAS, (0.02, 0.81, 0.91), 1.0, 0.0)
+
+
+def test_inversion_rejects_non_finite_inputs():
+    """A bad scale, attenuation or retardance is refused instead of
+    answered with a NaN residual."""
+    samples = (0.3, 0.6, 0.4)
+    for e0 in (math.nan, math.inf, 0.0, -2.0):
+        with pytest.raises(InversionError, match="e0"):
+            invert_scan(THETAS, samples, e0, 0.0)
+    for am in (math.nan, math.inf):
+        with pytest.raises(InversionError, match="alpha_minus"):
+            invert_scan(THETAS, samples, 1.0, am)
+    with pytest.raises(InversionError, match="retardances"):
+        invert_scan((0.5, math.nan, 2.0), samples, 1.0, 0.0)
+    scan = LcrScan(THETAS, samples)
+    with pytest.raises(InversionError, match="alpha_minus"):
+        invert_scan_lsq(scan, 1.0, math.nan)
 
 
 def test_inversion_needs_three_samples():
