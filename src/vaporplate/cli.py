@@ -96,7 +96,7 @@ def cmd_sweep(args) -> int:
     progress = None
     if args.progress:
         def progress(done, total):
-            print(f"\r{done}/{total} velocity nodes", end="", file=sys.stderr,
+            print(f"\r{done}/{total} detunings", end="", file=sys.stderr,
                   flush=True)
     responses = sweep(spec, workers=args.workers, progress=progress,
                       checkpoint=args.checkpoint)
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes, at most one per block of velocity "
-                        "nodes and per usable CPU (default 1)")
+                   help="worker processes, at most one per detuning and per "
+                        "usable CPU (default 1)")
     p.add_argument("--points", type=_positive_int,
                    help="override detuning count")
     p.add_argument("--velocity-points", type=_positive_int)

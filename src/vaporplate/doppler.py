@@ -1,17 +1,13 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-The sweep is velocity-major and works in blocks of velocity nodes: each
-block is one call of liouville.steady_states, which reuses the generator's
-eliminated excited block, eliminates the ground block and pump coherences
-of every node of the block in one stacked solve and then solves one small
-system per (node, detuning) cell.  A block holds CELLS // detunings nodes
-(liouville.CELLS), at least one: 32 nodes at one detuning, a single node
-from 17 detunings on.  A node's rows do not depend on the block around
-it.  They are weight-summed into the average node by node in grid order,
-on one worker or on a process pool over blocks, so results do not depend
-on the worker count or the block size.  A checkpoint holds that partial
-sum and the number of nodes in it, so a resumed sweep continues the same
-sum.
+The sweep is detuning-major: each row is one call of
+liouville.steady_states at one signal detuning over the whole velocity
+grid, which eliminates the coordinates no Doppler shift moves once per
+generator and geometry and then solves every velocity node from one
+eigendecomposition.  Rows are independent, so they are computed on one
+worker or on a process pool over detunings, and a row does not depend on
+the worker count or on the detunings beside it.  A checkpoint holds the
+finished rows, so a resumed sweep computes only the others.
 """
 
 from __future__ import annotations
@@ -21,13 +17,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
-from .liouville import (CELLS, DecayNetwork, FieldSpec, Liouvillian,
+from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
                         build_hamiltonian, steady_states, vectorize)
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
@@ -43,6 +38,8 @@ MAX_GAUSS_HERMITE_NODES = 370
 
 CSV_HEADER = "delta_s,phi_plus,phi_minus,alpha_plus,alpha_minus,phi_d_deg,alpha_d"
 CSV_MAGIC = "# vaporplate sweep CSV v1"
+# in the fingerprint, so a checkpoint of another format is never resumed
+CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v3: finished rows"
 
 
 def thermal_rms_velocity(temperature: float, mass_amu: float) -> float:
@@ -160,34 +157,28 @@ def _generator(spec: SweepSpec) -> Liouvillian:
     return vectorize(h, spec.scheme, spec.network)
 
 
-def _velocity_rows(spec: SweepSpec, liou: Liouvillian, velocities
-                   ) -> np.ndarray:
-    """The response at every detuning for atoms at each of a block of
-    velocities: a (nodes, detunings, 4) stack of (phi_plus, phi_minus,
-    alpha_plus, alpha_minus) rows."""
+def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float
+                  ) -> np.ndarray:
+    """The Doppler-averaged (phi_plus, phi_minus, alpha_plus, alpha_minus)
+    row at one signal detuning.  The response is linear in rho, so the
+    velocity average of rho is mapped once."""
     pump, signal = spec.fields["pump"], spec.fields["signal"]
-    shift_p, shift_s = doppler_shifts(np.asarray(velocities), spec.geometry,
-                                      pump.k, signal.k)
-    try:
-        rho = steady_states(liou, shift_p, (spec.detunings - signal.detuning)
-                            + shift_s[:, None])
-    except SolverError as exc:
-        if len(velocities) > 1:
-            # a node at a time, which names the node that fails
-            return np.concatenate([_velocity_rows(spec, liou, (v,))
-                                   for v in velocities])
-        raise SolverError(f"{exc} at v={velocities[0]:g}") from exc
+    (rho,) = steady_states(liou, detuning - signal.detuning,
+                           spec.grid.velocities, spec.grid.weights,
+                           doppler_shifts(1.0, spec.geometry, pump.k,
+                                          signal.k))
     r = response_from_density(rho, spec.scheme, spec.transitions, signal,
                               spec.medium)
-    return np.stack(r.as_tuple(), axis=-1)
+    return np.array(r.as_tuple())
 
 
 def _fingerprint(spec: SweepSpec, liou: Liouvillian) -> str:
     """Digest of everything a sweep's rows depend on: detunings, geometry,
     grid, fields, medium and the generator at rest (scheme, transitions and
-    decay network)."""
+    decay network), and of the checkpoint format."""
     import hashlib      # here, not at the top: it slows CLI start-up
-    digest = hashlib.sha256(spec.detunings.tobytes())
+    digest = hashlib.sha256(CHECKPOINT_FORMAT.encode())
+    digest.update(spec.detunings.tobytes())
     digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
                         spec.medium)).encode())
     digest.update(np.ascontiguousarray(liou.m))
@@ -198,54 +189,49 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
           checkpoint: str | None = None) -> list[OpticalResponse]:
     """Doppler-averaged responses, one per signal detuning.
 
-    The average is summed over velocity nodes in grid order whatever the
-    worker count; progress(done, total) counts velocity nodes.  The pool
-    has at most as many workers as there are blocks of nodes to solve and
-    CPUs this process may run on; with one, the sweep runs in this
-    process.  With a
-    checkpoint path the partial sum is saved every 16 nodes and at the end,
-    and a resumed sweep continues it, so its rows are bit-identical to an
-    uninterrupted run; a checkpoint written for a different spec, or in an
-    older format, is ignored and the sweep is recomputed."""
-    velocities, weights = spec.grid.velocities, spec.grid.weights
-    total = len(velocities)
+    progress(done, total) counts detunings.  The pool has at most as many
+    workers as there are detunings to solve and CPUs this process may run
+    on; with one, the sweep runs in this process.  Each row is computed
+    the same way whatever the worker count, so rows are bit-identical
+    across worker counts.  With a checkpoint path the finished rows are
+    saved every 16 detunings and at the end, and a resumed sweep computes
+    only the others; a checkpoint written for a different spec, or in
+    another format, is ignored and the sweep is recomputed."""
+    total = len(spec.detunings)
     liou = _generator(spec)
     fingerprint = _fingerprint(spec, liou) if checkpoint else ""
-    acc = np.zeros((len(spec.detunings), 4))
+    rows = np.zeros((total, 4))
     done = 0
 
     if checkpoint and os.path.exists(checkpoint):
         with np.load(checkpoint) as data:
-            if "nodes" in data.files and \
+            if "rows" in data.files and \
                     str(data["fingerprint"]) == fingerprint:
-                acc, done = data["acc"], int(data["nodes"])
+                rows, done = data["rows"], int(data["done"])
 
-    def reduce(rows_per_node):
-        nonlocal acc, done
-        for w, rows in zip(weights[done:], rows_per_node):
-            acc += w * rows
+    def collect(new_rows):
+        nonlocal done
+        for row in new_rows:
+            rows[done] = row
             done += 1
             if checkpoint and (done % 16 == 0 or done == total):
-                _save_checkpoint(checkpoint, fingerprint, acc, done)
+                _save_checkpoint(checkpoint, fingerprint, rows, done)
             if progress:
                 progress(done, total)
 
-    rows_at = partial(_velocity_rows, spec, liou)
-    todo = velocities[done:]
-    size = max(1, CELLS // len(spec.detunings))
-    blocks = [todo[lo:lo + size] for lo in range(0, len(todo), size)]
-    workers = min(workers, len(blocks), _cpu_count())
+    row_at = partial(_detuning_row, spec, liou)
+    todo = spec.detunings[done:].tolist()
+    workers = min(workers, len(todo), _cpu_count())
     if workers <= 1:
-        reduce(chain.from_iterable(map(rows_at, blocks)))
+        collect(map(row_at, todo))
     else:
-        chunk = max(1, len(blocks) // (workers * 4))
+        chunk = max(1, len(todo) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reduce(chain.from_iterable(
-                pool.map(rows_at, blocks, chunksize=chunk)))
+            collect(pool.map(row_at, todo, chunksize=chunk))
 
-    if not np.all(np.isfinite(acc)):
+    if not np.all(np.isfinite(rows)):
         raise SolverError("the Doppler-averaged response is not finite")
-    return [OpticalResponse(*row) for row in acc.tolist()]
+    return [OpticalResponse(*row) for row in rows.tolist()]
 
 
 def _cpu_count() -> int:
@@ -255,11 +241,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _save_checkpoint(path: str, fingerprint: str, acc: np.ndarray,
-                     nodes: int) -> None:
+def _save_checkpoint(path: str, fingerprint: str, rows: np.ndarray,
+                     done: int) -> None:
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        np.savez(fh, fingerprint=fingerprint, acc=acc, nodes=nodes)
+        np.savez(fh, fingerprint=fingerprint, rows=rows, done=done)
     os.replace(tmp, path)
 
 

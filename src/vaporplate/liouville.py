@@ -10,16 +10,19 @@ coordinate layout: `vectorize` records the index arrays and how each
 diagonal entry of M moves with extra pump and signal detuning.
 `vectorize` builds -i[H, .] directly on the retained coordinates.
 `steady_state` is the dense per-cell solve and the oracle;
-`steady_states` solves a block of velocity nodes, each with its pump shift
-and any number of signal detunings, by block elimination (Schur
-complements) on the driven coordinates only, those a population reaches
-through the generator's couplings; the Zeeman selection rules leave the
-rest in coherence-only blocks whose steady state is exactly zero.  It
-eliminates the excited block, which no shift moves, once per generator;
-the ground block and pump coherences of every node in one stacked solve
-per call; then one small system per (node, detuning) cell, in stacks of
-CELLS cells.  A node with a cell that fails any of its checks is solved
-by `steady_state` alone.
+`steady_states` averages steady states over a grid of velocity nodes at
+any number of signal detunings.  It solves only the driven coordinates,
+those a population reaches through the generator's couplings (the Zeeman
+selection rules leave the rest in coherence-only blocks whose steady
+state is exactly zero), in real form: populations and the real and
+imaginary parts of each coherence, so its densities are Hermitian by
+construction.  Velocity enters only as v * D_v: the coordinates D_v
+leaves fixed (F) are eliminated once per generator and geometry, and the
+rest (S) solve at every node from one eigendecomposition per signal
+detuning, followed by one refinement step.  Each node is checked against
+steady_state's bounds; a node that fails is solved by `steady_state`
+alone, and every node is when the generator has no unique steady state
+at rest or F cannot be eliminated.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ModelError, SolverError
-
-# Cells (velocity node x signal detuning) per stacked Q solve in
-# steady_states, and the cells a sweep's block of velocity nodes holds
-# unless one node has more (doppler): bounds the working stacks to about
-# CELLS * n_r**2 complex entries (0.9 MB on fig7-full) whatever the
-# detuning count.  On fig7-full at one detuning 16 to 32 nodes a block
-# were fastest; 64 was 10% slower and had a larger peak memory.
-CELLS = 32
 
 
 @dataclass(frozen=True)
@@ -166,8 +161,7 @@ class Liouvillian:
     s is zero: the trace is imposed when solving.  rows/cols index rho for
     each coordinate, populations lists the diagonal coordinates,
     d_pump/d_signal are the derivatives of diag(m) with respect to extra pump
-    and signal detuning, and excited marks the coordinates whose two levels
-    share a tier >= 1."""
+    and signal detuning."""
 
     m: np.ndarray
     s: np.ndarray
@@ -178,7 +172,6 @@ class Liouvillian:
     populations: np.ndarray
     d_pump: np.ndarray
     d_signal: np.ndarray
-    excited: np.ndarray
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
         return np.asarray(rho)[self.rows, self.cols].astype(complex)
@@ -189,52 +182,18 @@ class Liouvillian:
         return rho
 
     @cached_property
-    def _elimination(self) -> "_Elimination | None":
-        """The part of steady_states shared by every pump and signal shift,
-        worked out once per generator: the driven coordinates (_driven)
-        ordered E, R, Q (see steady_states), the trace row imposed, and E
-        eliminated.  On fig7-full E, R and Q hold 38, 42 and 36 of the 116
-        driven coordinates; the other 142 of the 258 are left out.
+    def _expansions(self) -> dict:
+        """_expansion's cache, keyed by the Doppler rates."""
+        return {}
 
-        None, and every cell goes to steady_state, if A_EE is singular (an
-        excited tier that does not decay) or if the driven block at rest
-        has no unique steady state: the dense LU finds the exact zero pivot
-        of such a generator, but after E is eliminated rounding hides it
-        and the blocks solve to one of the many steady states."""
-        driven = _driven(self)
-        a, saved_row, b = _trace_imposed(self, 0.0, 0.0)
-        try:
-            np.linalg.solve(a[np.ix_(driven, driven)], b[driven])
-        except np.linalg.LinAlgError:
-            return None
-
-        moving, excited = self.d_signal != 0, self.excited
-        e, r, q = (np.flatnonzero(driven & part) for part in
-                   (excited, ~excited & ~moving, moving))
-        order = np.concatenate([e, r, q])
-        a, b, saved_row = a[np.ix_(order, order)], b[order], saved_row[order]
-        n_e, n_r = len(e), len(r)
-        # [Z | y0] = A_EE^-1 [A_E,rest | b_E]
-        try:
-            zy = np.linalg.solve(a[:n_e, :n_e],
-                                 np.column_stack([a[:n_e, n_e:], b[:n_e]]))
-        except np.linalg.LinAlgError:
-            return None
-        # [S0 | c] = [A_rest,rest | b_rest] - A_rest,E [Z | y0]
-        sc = np.column_stack([a[n_e:, n_e:], b[n_e:]]) - a[n_e:, :n_e] @ zy
-        # where each coordinate of rho sits in E, R, Q order; the driven
-        # set holds each coordinate's transpose (_driven)
-        position = np.full((self.n_levels, self.n_levels), -1)
-        position[self.rows[order], self.cols[order]] = np.arange(len(order))
-        return _Elimination(
-            a=a, saved_row=saved_row,
-            trace_row=int(np.flatnonzero(order == self.populations[-1])[0]),
-            z=zy[:, :-1], y0=zy[:, -1:],
-            s_rr=sc[:n_r, :n_r].copy(), rq_c=sc[:n_r, n_r:].copy(),
-            s_qr=sc[n_r:, :n_r].copy(), qq_c=sc[n_r:, n_r:].copy(),
-            d_pump=self.d_pump[order], d_moving=self.d_signal[q],
-            rows=self.rows[order], cols=self.cols[order],
-            partner=position[self.cols[order], self.rows[order]])
+    def _expansion(self, doppler) -> "_Expansion | None":
+        """The part of steady_states shared by every signal shift and
+        velocity, worked out once per generator and pair of Doppler rates
+        (_build_expansion)."""
+        key = (float(doppler[0]), float(doppler[1]))
+        if key not in self._expansions:
+            self._expansions[key] = _build_expansion(self, *key)
+        return self._expansions[key]
 
 
 def _driven(liou: Liouvillian) -> np.ndarray:
@@ -265,25 +224,36 @@ def _driven(liou: Liouvillian) -> np.ndarray:
     return driven if np.all(damped[~driven]) else np.ones_like(driven)
 
 
-class _Elimination(NamedTuple):
-    """A generator in E, R, Q order with E eliminated (see
-    Liouvillian._elimination); every block is independent of the shifts
-    except for their diagonals."""
+class _Expansion(NamedTuple):
+    """A generator's driven coordinates in real form, F before S, with F
+    eliminated (_build_expansion).  Real coordinate r is a population or
+    the real or imaginary part of a coherence (i, j), i < j; partner[r] is
+    the other part of that coherence (r itself for a population), and a
+    shift moves coordinate r by coef[r] * shift * x[partner[r]]."""
 
     a: np.ndarray           # generator, trace row imposed
     saved_row: np.ndarray   # the generator's own trace row
     trace_row: int
-    z: np.ndarray           # A_EE^-1 A_E,rest
-    y0: np.ndarray          # A_EE^-1 b_E, a column
-    s_rr: np.ndarray        # the complement S0 in blocks; rq_c is
-    rq_c: np.ndarray        # [S0_RQ | c_R] and qq_c is [S0_QQ | c_Q]
-    s_qr: np.ndarray
-    qq_c: np.ndarray
-    d_pump: np.ndarray
-    d_moving: np.ndarray
-    rows: np.ndarray
+    n_f: int
+    w_ff: np.ndarray        # A_FF^-1
+    z: np.ndarray           # A_FF^-1 A_FS
+    y: np.ndarray           # A_FF^-1 b_F
+    y_sf: np.ndarray        # A_SF A_FF^-1
+    c: np.ndarray           # b_S - A_SF y
+    p0: np.ndarray          # Delta^-1 S0
+    ratio: np.ndarray       # Delta^-1 D_signal on S, a diagonal
+    partner: np.ndarray
+    paired: np.ndarray      # 1.0 on a coherence's parts, 0.0 on a population
+    coef_v: np.ndarray      # D_v, per unit velocity
+    coef_s: np.ndarray      # D_signal
+    populations: np.ndarray
+    # for the residual bound: per real coordinate, the complex generator's
+    # diagonal entry that a shift moves by i coef, and max|off-diagonal|
+    diag: np.ndarray
+    off_max: float
+    t: np.ndarray           # real coordinates -> complex driven ones
+    rows: np.ndarray        # where each complex driven coordinate sits in rho
     cols: np.ndarray
-    partner: np.ndarray     # position of each coordinate's transpose
 
 
 def vectorize(h: np.ndarray, scheme: LevelScheme,
@@ -320,14 +290,12 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
             m[slot[tgt, tgt], slot[src, src]] += rate
 
     pump_levels, signal_levels = _detuned_levels(scheme)
-    tiers = np.asarray(scheme.tiers)
     liou = Liouvillian(
         m=m, s=np.zeros(len(rows), dtype=complex),
         coords=tuple(zip(rows.tolist(), cols.tolist())), n_levels=n,
         rows=rows, cols=cols, populations=np.flatnonzero(rows == cols),
         d_pump=1j * (pump_levels[rows] - pump_levels[cols]),
-        d_signal=1j * (signal_levels[rows] - signal_levels[cols]),
-        excited=(tiers[rows] == tiers[cols]) & (tiers[rows] >= 1))
+        d_signal=1j * (signal_levels[rows] - signal_levels[cols]))
     _check_trace_preservation(liou)
     return liou
 
@@ -398,136 +366,220 @@ def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
     return rho
 
 
-def steady_states(liou: Liouvillian, pump_shifts,
-                  signal_shifts) -> np.ndarray:
-    """Steady states over a block of velocity nodes: node b has pump shift
-    pump_shifts[b] and signal shifts signal_shifts[b], and the result is a
-    (nodes, k, n, n) stack whose cell [b, j] equals steady_state(liou,
-    pump_shifts[b], signal_shifts[b, j]) to rounding.  A scalar pump shift
-    with a (k,) list of signal shifts is the one-node block, returned as a
-    (k, n, n) stack.
+def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
+                  doppler) -> np.ndarray:
+    """Velocity-averaged steady states: entry j of the (k, n, n) result is
+    the sum over nodes b of weights[b] * steady_state(liou, doppler[0] *
+    v_b, signal_shifts[j] + doppler[1] * v_b), v_b = velocities[b], to
+    rounding; doppler is the (pump, signal) detuning shift per unit
+    velocity.
 
     Only the driven coordinates are solved for (_driven): the others are
     damped coherences that no driven coordinate couples to, so their part
-    of every cell is zero and is left zero in the stack.  The driven
-    coordinates fall in three classes.  E holds the populations and
-    same-tier coherences of levels of tier >= 1: they decay at the excited
-    rates and no shift moves them.  R holds the other coordinates the
-    signal detuning leaves fixed (the ground tier and the pump
-    coherences); the pump shift moves some of them.  Q holds those with
-    d_signal != 0.  On fig7-full E, R and Q hold 38, 42 and 36 of the 258
-    coordinates.  With the trace row imposed, E is eliminated once per
-    generator (Liouvillian._elimination): [Z | y0] = A_EE^-1 [A_E,rest |
-    b_E] and the complement [S0 | c] = [A_rest,rest | b_rest] - A_rest,E
-    [Z | y0].  Per call, each node's pump shift is added to the diagonal of
-    S0 and R is eliminated against [S_RQ | c_R] in one stacked solve over
-    the nodes; the Q complement is solved at every (node, signal shift)
-    cell in stacked solves of up to CELLS cells; R and then E follow by
-    back-substitution.  Every product keeps one node per matrix, so a
-    node's cells do not depend on the block around it.  The ground tier is
-    not eliminated once with E, although no shift moves it either: it
-    relaxes only at gamma_g, so its block is nearly singular, and
-    eliminating it first put fig7-full rows up to 20 times outside a 1e-9
-    relative agreement with the dense solve (E alone: within 0.3).
+    of every cell is zero and is left zero.  On the driven coordinates the
+    kernel works in real form (_build_expansion): populations and the real
+    and imaginary parts of each coherence (i, j), i < j, so every density
+    it returns is Hermitian by construction.  Velocity enters the
+    generator only as v * D_v.  F, the coordinates D_v leaves fixed, is
+    eliminated once per generator and Doppler rates with the trace row
+    imposed, leaving (S0 + shift * D_signal + v * Delta) x_S = c on the
+    others, S, where Delta is D_v on S and invertible.  Per signal shift,
+    one eigendecomposition Delta^-1 (S0 + shift * D_signal) = V Lambda
+    V^-1 gives every node at once, x_S(v) = V (Lambda + v)^-1 V^-1
+    Delta^-1 c, and x_F = y - Z x_S; one refinement step through the same
+    expansion solves for the residual of the trace-imposed system.  On
+    fig7-full (counter-propagating) F and S hold 48 and 68 of the 116
+    driven real coordinates.
 
-    Every cell is checked against steady_state's residual bound and the
-    density bounds of _validate_density.  A node with a cell that fails a
-    check has all its cells solved by steady_state instead, and so has
-    every node if an elimination is singular; steady_state raises
-    SolverError where the generator has no valid steady state.
+    Every node is checked against steady_state's residual bound on the
+    true generator and its trace and minimum-population bounds.  A node
+    that fails a check is solved by steady_state alone, and so is every
+    node of a shift whose eigendecomposition fails, and every node of
+    every shift if the generator has no unique steady state at rest, A_FF
+    is singular, or the signal shift moves a coordinate of F (a coherence
+    no velocity moves, as the two-photon coherences are for
+    counter-propagating beams with k_pump == k_signal); steady_state
+    raises SolverError, naming the node, where the generator has no valid
+    steady state.  The weighted sum over the nodes that passed is mapped
+    back to complex coordinates once per shift.
     """
-    pump = np.atleast_1d(np.asarray(pump_shifts, dtype=float))
-    shifts = np.asarray(signal_shifts, dtype=float)
-    shifts = shifts.reshape(len(pump), shifts.shape[-1])
-    rho, ok = None, np.zeros(shifts.shape, dtype=bool)
-    if liou._elimination is not None:
-        try:
-            rho, ok = _eliminated_states(liou, pump, shifts)
-        except np.linalg.LinAlgError:
-            pass
-    if rho is None:
-        rho = np.empty((*shifts.shape, liou.n_levels, liou.n_levels),
-                       dtype=complex)
-    for b in np.flatnonzero(~ok.all(axis=1)):
-        for j, shift in enumerate(shifts[b]):
-            rho[b, j] = steady_state(liou, pump[b], shift)
-    return rho if np.ndim(pump_shifts) else rho[0]
+    shifts = np.asarray(signal_shifts, dtype=float).reshape(-1)
+    v = np.asarray(velocities, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    ex = liou._expansion(doppler)
+    out = np.zeros((len(shifts), liou.n_levels, liou.n_levels),
+                   dtype=complex)
+    for j, shift in enumerate(shifts):
+        ok = np.zeros(len(v), dtype=bool)
+        if ex is not None:
+            try:
+                x, ok = _expanded_states(ex, shift, v)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                out[j, ex.rows, ex.cols] = ex.t @ (x[:, ok] @ w[ok])
+        for b in np.flatnonzero(~ok):
+            try:
+                rho = steady_state(liou, doppler[0] * v[b],
+                                   shift + doppler[1] * v[b])
+            except SolverError as exc:
+                raise SolverError(f"{exc} at v={v[b]:g}") from exc
+            out[j] += w[b] * rho
+    return out
 
 
-def _eliminated_states(liou: Liouvillian, pump_shifts: np.ndarray,
-                       shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """steady_states by elimination, and per cell whether it passed the
+def _build_expansion(liou: Liouvillian, rate_p: float,
+                     rate_s: float) -> _Expansion | None:
+    """steady_states' work shared by every signal shift and velocity, for
+    Doppler rates (rate_p, rate_s): D_v = rate_p * d_pump + rate_s *
+    d_signal.
+
+    The generator preserves Hermiticity, so on the real coordinates it is
+    real, and a shift theta (an imaginary diagonal entry i theta on rho_ij)
+    becomes the 2x2 block [[0, -theta], [theta, 0]] on (Re, Im) rho_ij.
+    With the trace row imposed, A x = b is split into F, the coordinates
+    with D_v = 0 (populations and the coherences no Doppler shift moves),
+    and S: Z = A_FF^-1 A_FS, y = A_FF^-1 b_F, S0 = A_SS - A_SF Z and c =
+    b_S - A_SF y.
+
+    None, and every cell goes to steady_state, if the driven block at rest
+    has no unique steady state (the dense LU finds the exact zero pivot of
+    such a generator, which an elimination hides), if A_FF is singular, or
+    if a coordinate of F has d_signal != 0."""
+    driven = np.flatnonzero(_driven(liou))
+    a, saved_row, b = _trace_imposed(liou, 0.0, 0.0)
+    a, saved_row = a[np.ix_(driven, driven)], saved_row[driven]
+    try:
+        np.linalg.solve(a, b[driven])
+    except np.linalg.LinAlgError:
+        return None
+
+    # one real coordinate per population and two per coherence (i, j),
+    # i < j, at driven positions p (of (i, j)) and q (of (j, i)); the
+    # driven set holds each coordinate's transpose (_driven)
+    rows, cols = liou.rows[driven], liou.cols[driven]
+    position = np.full((liou.n_levels, liou.n_levels), -1)
+    position[rows, cols] = np.arange(len(driven))
+    upper = np.flatnonzero(rows <= cols)
+    count = np.where(rows[upper] == cols[upper], 1, 2)
+    p = np.repeat(upper, count)
+    q = np.repeat(position[cols[upper], rows[upper]], count)
+    im = np.zeros(len(p), dtype=bool)
+    im[np.cumsum(count)[count == 2] - 1] = True
+    theta_v = (rate_p * liou.d_pump.imag
+               + rate_s * liou.d_signal.imag)[driven][p]
+    theta_s = liou.d_signal.imag[driven][p]
+    # F before S; the two parts of a coherence stay adjacent
+    order = np.argsort(theta_v != 0, kind="stable")
+    p, q, im, theta_v, theta_s = (arr[order] for arr in
+                                  (p, q, im, theta_v, theta_s))
+    n_f = int(np.count_nonzero(theta_v == 0))
+    if np.any(theta_s[:n_f]):
+        return None
+    pop = p == q
+
+    def right(m):       # m T, T mapping real coordinates to complex ones
+        mp, mq = m[..., p], m[..., q]
+        return np.where(im, 1j * (mp - mq), np.where(pop, mp, mp + mq))
+    at = right(a)
+    ap, aq = at[p], at[q]       # T^-1 (m T)
+    ar = np.where(im[:, None], -0.5j * (ap - aq),
+                  np.where(pop[:, None], ap, 0.5 * (ap + aq))).real
+    trace_row = int(np.flatnonzero(
+        p == np.searchsorted(driven, liou.populations[-1]))[0])
+    b_r = np.zeros(len(p))
+    b_r[trace_row] = 1.0
+
+    # [Z | y | W] = A_FF^-1 [A_FS | b_F | 1]
+    n_s = len(p) - n_f
+    try:
+        sol = np.linalg.solve(ar[:n_f, :n_f], np.column_stack(
+            [ar[:n_f, n_f:], b_r[:n_f], np.eye(n_f)]))
+    except np.linalg.LinAlgError:
+        return None
+    z, y, w_ff = sol[:, :n_s], sol[:, n_s], sol[:, n_s + 1:]
+    a_sf = ar[n_f:, :n_f]
+
+    index = np.arange(len(p))
+    partner = index + np.where(im, -1, np.where(pop, 0, 1))
+    sign = np.where(im, 1.0, -1.0)
+    coef_v, coef_s = sign * theta_v, sign * theta_s
+    # (Delta^-1 m)[s] = m[partner[s]] / coef_v[partner[s]] on S
+    swap = partner[n_f:] - n_f
+    p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / coef_v[n_f:][swap, None]
+    t = np.zeros((len(driven), len(p)), dtype=complex)
+    t[p, index] = np.where(im, 1j, 1.0)
+    t[q, index] = np.where(im, -1j, 1.0)
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    return _Expansion(
+        a=ar, saved_row=right(saved_row).real, trace_row=trace_row, n_f=n_f,
+        w_ff=w_ff, z=z, y=y, y_sf=a_sf @ w_ff, c=b_r[n_f:] - a_sf @ y,
+        p0=p0, ratio=theta_s[n_f:] / theta_v[n_f:], partner=partner,
+        paired=(~pop).astype(float), coef_v=coef_v, coef_s=coef_s,
+        populations=np.flatnonzero(pop),
+        diag=np.diagonal(a)[np.where(im, p, q)], off_max=float(np.max(off)),
+        t=t, rows=rows, cols=cols)
+
+
+def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The real driven coordinates at every velocity node (one column
+    each) for one signal shift, and per node whether it passed the
     checks."""
-    el = liou._elimination
-    n = len(el.a)
-    n_e, n_r, n_q = len(el.z), len(el.s_rr), len(el.d_moving)
-    n_f = n_e + n_r          # Q starts here
-    nodes, k = shifts.shape
-    pump = el.d_pump * pump_shifts[:, None]
-    r_diag = np.arange(n_r)
-    q_diag = np.arange(n_q)
+    n_f = ex.n_f
+    k = ex.p0.copy()
+    diag = np.arange(len(k))
+    k[diag, diag] += shift * ex.ratio
+    # real arrays when every eigenvalue is real, complex ones otherwise
+    lam, vec = np.linalg.eig(k)
+    vec_inv = np.linalg.inv(vec)
+    poles = lam[:, None] + v
+    swap = ex.partner[n_f:] - n_f
+    delta = ex.coef_v[n_f:][swap, None]
 
-    # per node: [Z2 | y2] = S_RR^-1 [S_RQ | c_R]
-    #           [Sq | cq] = [S_QQ | c_Q] - S_QR [Z2 | y2]
-    # Every right-hand side is 3-D, a stack of matrices under both numpy
-    # 1.x and 2.x broadcasting rules.
-    s_rr = np.repeat(el.s_rr[None], nodes, axis=0)
-    s_rr[:, r_diag, r_diag] += pump[:, n_e:n_f]
-    zy = np.linalg.solve(s_rr, np.broadcast_to(el.rq_c, (nodes,
-                                                         *el.rq_c.shape)))
-    del s_rr
-    sc = el.s_qr @ zy
-    np.subtract(el.qq_c, sc, out=sc)
-    sc[:, q_diag, q_diag] += pump[:, n_f:]
-    c, sc = sc[:, :, n_q], sc[:, :, :n_q]
+    def solve_s(rhs):       # (S0 + shift D_signal + v Delta)^-1 rhs per node
+        g = vec_inv @ (rhs[swap] / delta)
+        # a node on a pole, or a non-finite input, fails the checks below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (vec @ (g / poles)).real
 
-    # stacked solves over the cells, CELLS at a time: each node's Sq with
-    # the cell's signal shift on its diagonal
-    node = np.repeat(np.arange(nodes), k)
-    flat = shifts.ravel()
-    xq = np.empty((nodes * k, n_q), dtype=complex)
-    for lo in range(0, len(flat), CELLS):
-        part = slice(lo, lo + CELLS)
-        stack = sc[node[part]]
-        stack[:, q_diag, q_diag] += np.multiply.outer(flat[part], el.d_moving)
-        xq[part] = np.linalg.solve(stack, c[node[part], :, None])[..., 0]
-    x = np.empty((nodes, n, k), dtype=complex)
-    x[:, n_f:] = xq.reshape(nodes, k, n_q).transpose(0, 2, 1)
-    x[:, n_e:n_f] = zy[:, :, n_q:] - zy[:, :, :n_q] @ x[:, n_f:]
-    x[:, :n_e] = el.y0 - el.z @ x[:, n_e:]
+    x = np.empty((len(ex.a), len(v)))
+    x[n_f:] = solve_s(ex.c[:, None])
+    x[:n_f] = ex.y[:, None] - ex.z @ x[n_f:]
+    # one refinement step: A dx = b - A x through the same elimination
+    r = -_shifted_product(ex, shift, v, x)
+    r[ex.trace_row] += 1.0
+    dx_s = solve_s(r[n_f:] - ex.y_sf @ r[:n_f])
+    x[n_f:] += dx_s
+    x[:n_f] += ex.w_ff @ r[:n_f] - ex.z @ dx_s
 
-    # residual against the true generator: the trace row is the saved one,
-    # the pump shift moves the diagonal and the signal shift that of Q
-    r = el.a @ x
-    r += pump[:, :, None] * x
-    r[:, n_f:] += el.d_moving[:, None] * shifts[:, None, :] * x[:, n_f:]
-    r[:, el.trace_row] = el.saved_row @ x
-    resid = np.abs(r).max(axis=1)
+    # residual against the true generator (its own trace row); the
+    # complex residual of rho_ij is r_Re + i r_Im
+    r = _shifted_product(ex, shift, v, x)
+    r[ex.trace_row] = ex.saved_row @ x
+    resid = np.sqrt(np.max(r * r + (ex.paired[:, None] * r[ex.partner]) ** 2,
+                           axis=0))
     ok = resid <= 1e-9
     if not ok.all():
-        # steady_state's bound 1e-9 * max|A| over each cell's own matrix,
-        # which differs from el.a only on the diagonal
-        a_diag = np.diagonal(el.a)
-        off = np.abs(el.a)
-        off[np.arange(n), np.arange(n)] = 0.0
-        node_max = np.maximum(np.max(off), np.max(np.abs(a_diag[:n_f] +
-                                                         pump[:, :n_f]),
-                                                  axis=1))
-        cell_diag = a_diag[n_f:] + pump[:, None, n_f:] + \
-            np.multiply.outer(shifts, el.d_moving)
-        cell_max = np.maximum(node_max[:, None],
-                              np.max(np.abs(cell_diag), axis=2, initial=0.0))
-        ok |= resid <= 1e-9 * cell_max
+        # steady_state's bound 1e-9 * max|A| over each node's own matrix,
+        # which differs from the one at rest only on the diagonal
+        cell = np.abs(ex.diag[:, None] + 1j * (shift * ex.coef_s[:, None]
+                                               + np.multiply.outer(ex.coef_v,
+                                                                   v)))
+        ok |= resid <= 1e-9 * np.maximum(ex.off_max, cell.max(axis=0))
+    pops = x[ex.populations]
+    ok &= np.abs(pops.sum(axis=0) - 1.0) <= 1e-8
+    ok &= pops.min(axis=0) >= -1e-8
+    return x, ok
 
-    # rho - rho^H vanishes off the driven coordinates
-    herm = np.abs(x - x[:, el.partner].conj()).max(axis=1)
-    rho = np.zeros((nodes, k, liou.n_levels, liou.n_levels), dtype=complex)
-    rho[:, :, el.rows, el.cols] = x.transpose(0, 2, 1)
-    pops = np.diagonal(rho, axis1=-2, axis2=-1).real
-    ok &= herm <= 1e-10
-    ok &= np.abs(pops.sum(axis=-1) - 1.0) <= 1e-8
-    ok &= pops.min(axis=-1) >= -1e-8
-    return rho, ok
+
+def _shifted_product(ex: _Expansion, shift: float, v: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """A x for each node's generator (trace row imposed), node b in column
+    b: the one at rest plus shift * D_signal + v_b * D_v."""
+    return ex.a @ x + (shift * ex.coef_s[:, None]
+                       + np.multiply.outer(ex.coef_v, v)) * x[ex.partner]
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

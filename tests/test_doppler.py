@@ -143,10 +143,8 @@ def no_dense_fallback(*args, **kwargs):
                                     "fig7-reduced15", "fig7-full"])
 def test_sweep_rows_match_rebuild_on_random_cells(preset, geometry,
                                                   monkeypatch):
-    """Each velocity node eliminates the ground block and pump coherences
-    against the complement left by the excited block, then solves every
-    detuning; every cell, at one detuning as at three, must equal a full
-    rebuild, and none may need the dense fallback."""
+    """The velocity kernel solves every cell, at one detuning as at three,
+    equal to a full rebuild, and none may need the dense fallback."""
     scn = load_preset(preset)
     rng = np.random.default_rng(13)
     for count in (1, 3) * 4:        # four velocities at each count
@@ -194,84 +192,67 @@ def bits(responses):
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
 @pytest.mark.parametrize("preset", SWEEP_PRESETS)
 def test_rows_do_not_depend_on_block_size(preset, geometry, monkeypatch):
-    """A node's rows are bit-identical whether its block holds one node,
-    the default CELLS // detunings, or the whole grid, and no cell needs
-    the dense fallback."""
+    """A detuning's row is bit-identical whether it is swept alone or with
+    other detunings (a pool's unit of work is one detuning), and no cell
+    needs the dense fallback."""
     scn = load_preset(preset)
     grid = VelocityGrid.gauss_hermite(40)
-    for detunings in ([245.0], [-300.0, 10.0, 250.0]):
-        spec = small_spec(scn, detunings, grid=grid, geometry=geometry)
-        with monkeypatch.context() as patch:
-            patch.setattr(liouville, "steady_state", no_dense_fallback)
-            reference = bits(sweep(spec))
-            for cells in (1, len(detunings) * len(grid.velocities)):
-                patch.setattr(doppler, "CELLS", cells)
-                assert np.array_equal(bits(sweep(spec)), reference)
+    detunings = [-300.0, 10.0, 245.0]
+    monkeypatch.setattr(liouville, "steady_state", no_dense_fallback)
+    together = bits(sweep(small_spec(scn, detunings, grid=grid,
+                                     geometry=geometry)))
+    for j, d in enumerate(detunings):
+        alone = bits(sweep(small_spec(scn, [d], grid=grid,
+                                      geometry=geometry)))
+        assert np.array_equal(alone[0], together[j])
 
 
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
 @pytest.mark.parametrize("preset", SWEEP_PRESETS)
 def test_failing_node_alone_takes_the_dense_path(preset, geometry,
                                                  monkeypatch):
-    """When one node of a block fails a check, that node alone is solved
-    by steady_state; the other nodes keep their eliminated rows bit for
-    bit."""
+    """When one velocity node fails a check, that node alone is solved by
+    steady_state, at each detuning where it fails, and the rows still
+    match."""
     scn = load_preset(preset)
     grid = VelocityGrid.gauss_hermite(9)
     spec = small_spec(scn, [-20.0, 245.0], grid=grid, geometry=geometry)
-    assert doppler.CELLS // 2 >= len(grid.velocities)   # one block
     reference = np.array([r.as_tuple() for r in sweep(spec)])
     bad = 3
-    eliminated = liouville._eliminated_states
+    expanded = liouville._expanded_states
 
-    def fail_one_node(liou, pump_shifts, shifts):
-        rho, ok = eliminated(liou, pump_shifts, shifts)
-        ok[bad, 1] = False           # one cell of one node
-        return rho, ok
-    dense_pumps = []
+    def fail_one_node(ex, shift, v):
+        x, ok = expanded(ex, shift, v)
+        ok[bad] = False
+        return x, ok
+    dense_cells = []
     dense = liouville.steady_state
 
     def record(liou, pump_shift=0.0, signal_shift=0.0):
-        dense_pumps.append(pump_shift)
+        dense_cells.append((pump_shift, signal_shift))
         return dense(liou, pump_shift, signal_shift)
-    monkeypatch.setattr(liouville, "_eliminated_states", fail_one_node)
+    monkeypatch.setattr(liouville, "_expanded_states", fail_one_node)
     monkeypatch.setattr(liouville, "steady_state", record)
-    per_node = []
-    monkeypatch.setattr(doppler, "response_from_density",
-                        lambda rho, *args: per_node.append(rho)
-                        or response_from_density(rho, *args))
     rows = np.array([r.as_tuple() for r in sweep(spec)])
     pump_k, signal_k = spec.fields["pump"].k, spec.fields["signal"].k
-    v_bad = grid.velocities[bad]
-    shift_p, _ = doppler_shifts(v_bad, geometry, pump_k, signal_k)
-    assert dense_pumps == [shift_p] * 2      # its two cells, nothing else
+    shift_p, shift_s = doppler_shifts(grid.velocities[bad], geometry,
+                                      pump_k, signal_k)
+    want = [(shift_p, d - spec.fields["signal"].detuning + shift_s)
+            for d in spec.detunings]
+    assert dense_cells == want       # its two cells, nothing else
     assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
-    # the nodes that passed are bit-identical to an unpatched block
-    monkeypatch.undo()
-    (stack,) = per_node
-    liou = doppler._generator(spec)
-    shifts = [doppler_shifts(v, geometry, pump_k, signal_k)
-              for v in grid.velocities]
-    clean = steady_states(liou, np.array([p for p, _ in shifts]),
-                          spec.detunings - spec.fields["signal"].detuning
-                          + np.array([s for _, s in shifts])[:, None])
-    keep = np.arange(len(shifts)) != bad
-    assert np.array_equal(stack[keep].view(np.uint64),
-                          clean[keep].view(np.uint64))
-    assert np.allclose(stack[bad], clean[bad], rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
 @pytest.mark.parametrize("preset", SWEEP_PRESETS)
 def test_resume_inside_a_block_matches_uninterrupted(preset, geometry,
                                                      tmp_path):
-    """At one detuning a block holds CELLS nodes; a sweep stopped after
-    node 20 resumes from the checkpoint of node 16, inside the first
-    block, and its rows are bit-identical to an uninterrupted run."""
+    """A sweep stopped after detuning 20 resumes from the checkpoint of
+    detuning 16 and computes only the rest; its rows are bit-identical to
+    an uninterrupted run."""
     scn = load_preset(preset)
-    spec = small_spec(scn, [245.0], grid=VelocityGrid.uniform(40),
-                      geometry=geometry)
-    assert doppler.CELLS > 20
+    spec = small_spec(scn, np.linspace(-300.0, 300.0, 24),
+                      grid=VelocityGrid.uniform(8), geometry=geometry)
     ck = str(tmp_path / "sweep.ckpt.npz")
 
     def stop_after_20(done, total):
@@ -282,18 +263,19 @@ def test_resume_inside_a_block_matches_uninterrupted(preset, geometry,
     seen = []
     resumed = sweep(spec, checkpoint=ck,
                     progress=lambda done, total: seen.append(done))
-    assert seen == list(range(17, 41))
+    assert seen == list(range(17, 25))
     assert np.array_equal(bits(resumed), bits(sweep(spec)))
 
 
 def test_singular_block_solves_every_node_densely(monkeypatch):
-    """A LinAlgError in the block's stacked solves sends every node of the
-    block to steady_state."""
+    """A LinAlgError in a detuning's eigendecomposition sends every node
+    of that detuning to steady_state."""
     scn = load_preset("fig7-reduced15")
     liou = doppler._generator(small_spec(scn, [0.0]))
-    pumps = np.array([-3.0, 0.5, 8.0])
-    shifts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    want = steady_states(liou, pumps, shifts)
+    nodes, weights = np.array([-3.0, 0.5, 8.0]), np.array([0.3, 0.3, 0.4])
+    rates = (-0.7, 0.4)
+    shifts = np.array([1.0, 2.0])
+    want = steady_states(liou, shifts, nodes, weights, rates)
     calls = []
     dense = liouville.steady_state
 
@@ -302,12 +284,72 @@ def test_singular_block_solves_every_node_densely(monkeypatch):
         return dense(liou, pump_shift, signal_shift)
 
     def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(liouville, "_eliminated_states", singular)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(liouville, "_expanded_states", singular)
     monkeypatch.setattr(liouville, "steady_state", record)
-    got = steady_states(liou, pumps, shifts)
-    assert calls == [(p, s) for p, row in zip(pumps, shifts) for s in row]
+    got = steady_states(liou, shifts, nodes, weights, rates)
+    assert calls == [(rates[0] * v, s + rates[1] * v)
+                     for s in shifts for v in nodes]
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def averaged_rebuild(scn, spec):
+    """The weighted average of full rebuilds over the spec's grid, one row
+    per detuning; the response is linear in rho."""
+    return np.array([sum(w * np.array(full_rebuild_response(
+        scn, d, v, spec.geometry).as_tuple())
+        for v, w in zip(spec.grid.velocities, spec.grid.weights))
+        for d in spec.detunings])
+
+
+def test_equal_wavevectors_solve_every_cell_densely(monkeypatch):
+    """With k_pump == k_signal and counter-propagating beams no velocity
+    moves the two-photon coherences, which the signal detuning does move;
+    the kernel declines, every cell goes to steady_state and the rows
+    match full rebuilds."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig1-ideal.yaml").read_text())
+    cfg["fields"]["signal"]["wavelength_nm"] = \
+        cfg["fields"]["pump"]["wavelength_nm"]
+    scn = scenario_from_config(cfg)
+    spec = small_spec(scn, [-20.0, 35.0],
+                      grid=VelocityGrid.gauss_hermite(5))
+    assert spec.fields["pump"].k == spec.fields["signal"].k
+    assert_every_cell_dense(scn, spec, monkeypatch)
+
+
+def test_singular_f_block_solves_every_cell_densely(monkeypatch):
+    """An upper level that does not decay leaves A_FF singular (its
+    population column in F is the trace row's alone) although the driven
+    block at rest is not; the kernel declines, every cell goes to
+    steady_state and the rows match full rebuilds."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig1-ideal.yaml").read_text())
+    cfg["decay"]["gamma_b"] = 0.0
+    cfg["decay"]["explicit_channels"] = [
+        c for c in cfg["decay"]["explicit_channels"] if c["from"] != "U:0"]
+    scn = scenario_from_config(cfg)
+    spec = small_spec(scn, [-20.0, 35.0],
+                      grid=VelocityGrid.gauss_hermite(5))
+    assert_every_cell_dense(scn, spec, monkeypatch)
+
+
+def assert_every_cell_dense(scn, spec, monkeypatch):
+    calls = []
+    dense = liouville.steady_state
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        calls.append((pump_shift, signal_shift))
+        return dense(liou, pump_shift, signal_shift)
+
+    def no_expansion(*args):
+        raise AssertionError("the velocity kernel did not decline")
+    monkeypatch.setattr(liouville, "_expanded_states", no_expansion)
+    monkeypatch.setattr(liouville, "steady_state", record)
+    rows = np.array([r.as_tuple() for r in sweep(spec)])
+    assert len(calls) == len(spec.detunings) * len(spec.grid.velocities)
+    assert np.allclose(rows, averaged_rebuild(scn, spec), rtol=1e-9,
+                       atol=1e-12)
 
 
 def test_degenerate_grid_sweep_equals_direct_solve(fig7):
@@ -363,12 +405,11 @@ def test_sweep_worker_count_does_not_change_output(fig7):
 
 
 def test_pool_over_blocks_matches_serial(fig7, monkeypatch):
-    """With blocks of two nodes the pool gets two blocks; its rows are
-    bit-identical to the serial sweep's."""
+    """The pool maps over detunings; with two CPUs it gets two workers and
+    its rows are bit-identical to the serial sweep's."""
     spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
                       grid=VelocityGrid.gauss_hermite(4))
     serial = bits(sweep(spec))
-    monkeypatch.setattr(doppler, "CELLS", 12)
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
     assert np.array_equal(bits(sweep(spec, workers=2)), serial)
 
@@ -392,29 +433,44 @@ class RecordingPool:
         return map(fn, items)
 
 
-def test_worker_count_is_capped(fig7, monkeypatch):
-    """The pool never has more workers than blocks to solve or CPUs this
-    process may run on, and is not started for one block."""
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(doppler, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    return RecordingPool
+
+
+def test_worker_count_is_capped(fig7, monkeypatch, recording_pool):
+    """The pool never has more workers than detunings to solve or CPUs
+    this process may run on, and is not started for one detuning."""
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 3)
     grid = VelocityGrid.gauss_hermite(8)
     many = small_spec(fig7, np.linspace(-40.0, 40.0, 20), grid=grid)
-    few = small_spec(fig7, np.linspace(-40.0, 40.0, 10), grid=grid)
+    two = small_spec(fig7, [-10.0, 10.0], grid=grid)
     one = small_spec(fig7, [0.0], grid=grid)
     reference = bits(sweep(many))
     assert np.array_equal(bits(sweep(many, workers=10 ** 6)), reference)
-    sweep(few, workers=10 ** 6)      # 3 nodes a block: 3 blocks
+    sweep(two, workers=10 ** 6)      # two detunings: two workers
     sweep(many, workers=2)
-    sweep(one, workers=64)           # a single block of 8 nodes
-    assert RecordingPool.sizes == [3, 3, 2]
+    sweep(one, workers=64)           # a single detuning
+    assert recording_pool.sizes == [3, 2, 2]
+
+
+def test_gate_10_shape_runs_two_workers(fig7, monkeypatch, recording_pool):
+    """The acceptance gate's worker-count sweep (6 detunings x 4 nodes at
+    two workers) starts a pool of two on a machine with two CPUs."""
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
+                      grid=VelocityGrid.gauss_hermite(4))
+    sweep(spec, workers=2)
+    assert recording_pool.sizes == [2]
 
 
 def test_sweep_progress_callback(fig7):
     spec = small_spec(fig7, [0.0, 10.0], grid=VelocityGrid.gauss_hermite(3))
     seen = []
     sweep(spec, progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 3), (2, 3), (3, 3)]     # velocity nodes
+    assert seen == [(1, 2), (2, 2)]     # detunings
 
 
 class Interrupt(Exception):
@@ -422,7 +478,7 @@ class Interrupt(Exception):
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path, fig7):
-    spec = small_spec(fig7, np.linspace(0.0, 50.0, 6),
+    spec = small_spec(fig7, np.linspace(0.0, 50.0, 24),
                       grid=VelocityGrid.uniform(40))
     ck = str(tmp_path / "sweep.ckpt.npz")
     reference = sweep(spec)
@@ -435,7 +491,7 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path, fig7):
     seen = []
     resumed = sweep(spec, checkpoint=ck,
                     progress=lambda done, total: seen.append(done))
-    assert seen == list(range(17, 41))      # saved after node 16
+    assert seen == list(range(17, 25))      # saved after detuning 16
     for a, b in zip(reference, resumed):
         assert a.as_tuple() == b.as_tuple()     # bit-identical
 
@@ -451,9 +507,36 @@ def test_checkpoint_in_per_detuning_format_is_recomputed(tmp_path, fig7):
     seen = []
     resumed = sweep(spec, checkpoint=ck,
                     progress=lambda done, total: seen.append(done))
-    assert seen == [1, 2, 3, 4]
+    assert seen == [1, 2]
     for a, b in zip(resumed, sweep(spec)):
         assert a.as_tuple() == b.as_tuple()
+
+
+def velocity_major_fingerprint(spec):
+    """The fingerprint of the velocity-major checkpoint format, which held
+    a partial weighted sum over nodes ("acc") and the node count."""
+    import hashlib
+    liou = doppler._generator(spec)
+    digest = hashlib.sha256(spec.detunings.tobytes())
+    digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
+                        spec.medium)).encode())
+    digest.update(np.ascontiguousarray(liou.m))
+    return digest.hexdigest()
+
+
+def test_checkpoint_in_velocity_major_format_is_recomputed(tmp_path, fig7):
+    """A checkpoint of partial sums over velocity nodes is not read as
+    finished rows: the sweep is recomputed in full, bit for bit."""
+    spec = small_spec(fig7, [0.0, 10.0, 20.0],
+                      grid=VelocityGrid.gauss_hermite(4))
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    np.savez(ck, fingerprint=velocity_major_fingerprint(spec),
+             acc=np.ones((3, 4)), nodes=2)
+    seen = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == [1, 2, 3]
+    assert np.array_equal(bits(resumed), bits(sweep(spec)))
 
 
 def test_checkpoint_ignored_for_different_detunings(tmp_path, fig7):

@@ -1,5 +1,6 @@
 """Hamiltonian assembly, vectorization, steady states, and time evolution."""
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -269,47 +270,78 @@ def test_non_finite_steady_state_raises():
     liou, _, _ = two_level_liouvillian()
     with pytest.raises(SolverError, match="not finite"):
         steady_state(liou, pump_shift=float("nan"))
-    # the many-detuning kernel fails its checks and reports the dense error
+    # the velocity kernel fails its checks and reports the dense error
     with pytest.raises(SolverError, match="not finite"):
-        steady_states(liou, float("nan"), [0.0, 1.0])
+        steady_states(liou, [0.0, 1.0], [float("nan")], [1.0], (1.0, 0.0))
 
 
 def test_steady_states_without_signal_coordinates():
     """A generator the signal detuning does not move: every shift gives the
     dense steady state, and no shift gives an empty stack."""
     liou, _, _ = two_level_liouvillian(1.7, -0.4, 0.8)
-    stack = steady_states(liou, 0.9, [-1.0, 2.0])
+    stack = steady_states(liou, [-1.0, 2.0], [0.9], [1.0], (1.0, 0.0))
     for rho in stack:
         assert np.allclose(rho, steady_state(liou, pump_shift=0.9),
                            atol=1e-12)
-    assert steady_states(liou, 0.9, []).shape == (0, 2, 2)
+    assert steady_states(liou, [], [0.9], [1.0], (1.0, 0.0)).shape == \
+        (0, 2, 2)
 
 
 def test_steady_states_across_detuning_chunks(monkeypatch):
-    """Cell counts that split into several stacked solves, the last one
-    partial, match the dense solve cell by cell without falling back, for
-    one node and for a block of nodes whose chunks straddle node
-    boundaries."""
+    """Many signal shifts in one call, at one velocity node and averaged
+    over a grid of nodes, match the dense solve cell by cell without
+    falling back."""
     scn = load_preset("fig1-ideal")
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
-    assert len(liou._elimination.d_moving) > 0
-    shifts = np.linspace(-40.0, 40.0, 2 * liouville.CELLS + 3)
-    pumps = np.array([0.3, -7.0, 12.5])
-    block_shifts = shifts[:liouville.CELLS // 2 + 1] + pumps[:, None]
-    dense = np.array([steady_state(liou, 0.3, s) for s in shifts])
-    block_dense = np.array([[steady_state(liou, p, s) for s in row]
-                            for p, row in zip(pumps, block_shifts)])
+    doppler = (-0.8, 0.45)
+    assert liou._expansion(doppler).n_f < len(liou._expansion(doppler).a)
+    shifts = np.linspace(-40.0, 40.0, 67)
+    nodes, weights = np.array([-9.0, 0.4, 17.0]), np.array([0.2, 0.5, 0.3])
+    dense = np.array([steady_state(liou, doppler[0] * nodes[1],
+                                   s + doppler[1] * nodes[1])
+                      for s in shifts])
+    average = np.array([sum(w * steady_state(liou, doppler[0] * v,
+                                             s + doppler[1] * v)
+                            for v, w in zip(nodes, weights))
+                        for s in shifts[:19]])
 
     def no_fallback(*args):
         raise AssertionError("dense fallback used")
     monkeypatch.setattr(liouville, "steady_state", no_fallback)
-    stack = steady_states(liou, 0.3, shifts)
+    stack = steady_states(liou, shifts, nodes[1:2], [1.0], doppler)
     assert stack.shape == dense.shape
     assert np.allclose(stack, dense, rtol=1e-9, atol=1e-12)
-    block = steady_states(liou, pumps, block_shifts)
-    assert block.shape == block_dense.shape
-    assert np.allclose(block, block_dense, rtol=1e-9, atol=1e-12)
+    block = steady_states(liou, shifts[:19], nodes, weights, doppler)
+    assert block.shape == average.shape
+    assert np.allclose(block, average, rtol=1e-9, atol=1e-12)
+
+
+def test_real_eigenvalues_are_handled(monkeypatch):
+    """np.linalg.eig returns real arrays when every eigenvalue is real.  A
+    constructed two-level generator gives Delta^-1 S0 such a spectrum: no
+    Rabi coupling, an undamped coherence fed from the ground population,
+    and a pump Doppler shift.  The kernel still matches the dense solve
+    without falling back, away from the real pole at v = detuning."""
+    liou, _, _ = two_level_liouvillian(0.0, 3.0, 0.8)
+    m = liou.m.copy()
+    m[1, 1] = m[1, 1].imag * 1j      # coordinates (0,0), (0,1), (1,0), (1,1)
+    m[2, 2] = m[2, 2].imag * 1j
+    m[1, 0], m[2, 0] = 0.3 - 0.2j, 0.3 + 0.2j
+    liou = dataclasses.replace(liou, m=m)
+    doppler = (1.0, 0.0)
+    lam, _ = np.linalg.eig(liou._expansion(doppler).p0)
+    assert np.isrealobj(lam)
+    nodes, weights = np.array([-2.0, 0.5, 7.0]), np.array([0.3, 0.3, 0.4])
+    want = [sum(w * steady_state(liou, v, s) for v, w in zip(nodes, weights))
+            for s in (0.0, 1.5)]
+
+    def no_fallback(*args):
+        raise AssertionError("dense fallback used")
+    monkeypatch.setattr(liouville, "steady_state", no_fallback)
+    got = steady_states(liou, [0.0, 1.5], nodes, weights, doppler)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert np.abs(got[0, 0, 1]) > 0.01
 
 
 def fig7_full_liouvillian(**decay):
@@ -322,17 +354,18 @@ def fig7_full_liouvillian(**decay):
 
 
 def test_elimination_blocks_on_fig7_full():
-    """fig7-full's driven coordinates split into the excited block
-    eliminated once per generator, the ground block and pump coherences
-    eliminated per velocity node, and the coordinates the signal detuning
-    moves; the 142 coordinates left out are strictly damped coherences."""
+    """fig7-full's driven coordinates, in real form, split into F, which no
+    Doppler shift moves and which is eliminated once per generator and
+    geometry, and S; the 142 coordinates left out are strictly damped
+    coherences."""
     liou, scn = fig7_full_liouvillian()
-    el = liou._elimination
-    n_e = len(el.z)
-    assert (n_e, len(el.s_rr), len(el.d_moving)) == (38, 42, 36)
-    tiers = np.asarray(scn.scheme.tiers)
-    assert np.all(tiers[el.rows[:n_e]] >= 1)
-    assert not np.any(el.d_pump[:n_e])
+    pump, signal = scn.fields["pump"], scn.fields["signal"]
+    ex = liou._expansion(doppler_shifts(1.0, COUNTER, pump.k, signal.k))
+    assert (ex.n_f, len(ex.a) - ex.n_f) == (48, 68)
+    assert np.all(ex.populations < ex.n_f)
+    assert len(ex.populations) == len(liou.populations)
+    assert not np.any(ex.coef_v[:ex.n_f]) and not np.any(ex.coef_s[:ex.n_f])
+    assert np.all(ex.coef_v[ex.n_f:])
     dropped = ~_driven(liou)
     assert np.count_nonzero(dropped) == 142
     assert not np.any(dropped[liou.populations])
@@ -356,10 +389,10 @@ def test_dense_steady_state_vanishes_off_the_driven_set(preset, geometry):
     scn = load_preset(preset)
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
-    el = liou._elimination
-    assert np.array_equal(el.rows[el.partner], el.cols)
-    assert np.array_equal(el.cols[el.partner], el.rows)
     dropped = ~_driven(liou)
+    transposed = np.zeros((liou.n_levels, liou.n_levels), dtype=bool)
+    transposed[liou.cols[~dropped], liou.rows[~dropped]] = True
+    assert np.array_equal(transposed[liou.rows, liou.cols], ~dropped)
     pump, signal = scn.fields["pump"], scn.fields["signal"]
     rng = np.random.default_rng(14)
     for _ in range(4):
@@ -391,7 +424,7 @@ def test_nonunique_steady_state_raises():
     with pytest.raises(SolverError, match="non-unique"):
         steady_state(liou)
     with pytest.raises(SolverError, match="non-unique"):
-        steady_states(liou, 0.0, [0.0, 1.0])
+        steady_states(liou, [0.0, 1.0], [0.0], [1.0], (0.0, 0.0))
 
 
 def test_density_validation_tolerances():
