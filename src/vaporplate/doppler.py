@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import zipfile
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
-from .errors import ModelError, SolverError
+from .errors import ConfigError, ModelError, SolverError
 from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
                         build_hamiltonian, steady_states, vectorize)
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
@@ -196,7 +196,9 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     across worker counts.  With a checkpoint path the finished rows are
     saved every 16 detunings and at the end, and a resumed sweep computes
     only the others; a checkpoint written for a different spec, or in
-    another format, is ignored and the sweep is recomputed."""
+    another format, is ignored and the sweep is recomputed.  A checkpoint
+    path holding a file numpy cannot read raises ConfigError, and the file
+    is left as it is."""
     total = len(spec.detunings)
     liou = _generator(spec)
     fingerprint = _fingerprint(spec, liou) if checkpoint else ""
@@ -204,10 +206,9 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     done = 0
 
     if checkpoint and os.path.exists(checkpoint):
-        with np.load(checkpoint) as data:
-            if "rows" in data.files and \
-                    str(data["fingerprint"]) == fingerprint:
-                rows, done = data["rows"], int(data["done"])
+        saved = _load_checkpoint(checkpoint, fingerprint)
+        if saved is not None:
+            rows, done = saved
 
     def collect(new_rows):
         nonlocal done
@@ -226,7 +227,7 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
         collect(map(row_at, todo))
     else:
         chunk = max(1, len(todo) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             collect(pool.map(row_at, todo, chunksize=chunk))
 
     if not np.all(np.isfinite(rows)):
@@ -234,11 +235,38 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     return [OpticalResponse(*row) for row in rows.tolist()]
 
 
+def _pool(workers: int):
+    """A process pool of `workers` workers.  Imported here, not at the top:
+    it loads multiprocessing, which only a pooled sweep uses and which
+    slows CLI start-up."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _load_checkpoint(path: str, fingerprint: str
+                     ) -> tuple[np.ndarray, int] | None:
+    """The finished rows and their count saved at path for the sweep with
+    this fingerprint; None for a checkpoint of another sweep or format: an
+    npz archive without a matching fingerprint, rows and done, or a lone
+    numpy array."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile) or not \
+                    {"fingerprint", "rows", "done"} <= set(data.files) or \
+                    str(data["fingerprint"]) != fingerprint:
+                return None
+            return data["rows"], int(data["done"])
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read sweep checkpoint {path}: {exc}") \
+            from exc
 
 
 def _save_checkpoint(path: str, fingerprint: str, rows: np.ndarray,

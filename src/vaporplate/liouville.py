@@ -19,10 +19,11 @@ imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
 leaves fixed (F) are eliminated once per generator and geometry, and the
 rest (S) solve at every node from one eigendecomposition per signal
-detuning, followed by one refinement step.  Each node is checked against
-steady_state's bounds; a node that fails is solved by `steady_state`
-alone, and every node is when the generator has no unique steady state
-at rest or F cannot be eliminated.
+detuning.  Each node is solved and checked against steady_state's bounds
+once, and one refinement step is applied to the weighted average of the
+nodes that passed; a node that fails is solved by `steady_state` alone,
+and every node is when the generator has no unique steady state at rest
+or F cannot be eliminated.
 """
 
 from __future__ import annotations
@@ -231,19 +232,22 @@ class _Expansion(NamedTuple):
     the other part of that coherence (r itself for a population), and a
     shift moves coordinate r by coef[r] * shift * x[partner[r]]."""
 
-    a: np.ndarray           # generator, trace row imposed
-    saved_row: np.ndarray   # the generator's own trace row
-    trace_row: int
+    a: np.ndarray           # generator at rest, its own trace row
+    trace_row: int          # where the trace is imposed, b = 1 there
     n_f: int
     w_ff: np.ndarray        # A_FF^-1
     z: np.ndarray           # A_FF^-1 A_FS
-    y: np.ndarray           # A_FF^-1 b_F
+    y: np.ndarray           # A_FF^-1 b_F, a column
     y_sf: np.ndarray        # A_SF A_FF^-1
-    c: np.ndarray           # b_S - A_SF y
     p0: np.ndarray          # Delta^-1 S0
-    ratio: np.ndarray       # Delta^-1 D_signal on S, a diagonal
+    ratio: np.ndarray       # Delta^-1 D_signal on S, a diagonal matrix
+    # Delta^-1 r on S is r[swap] / delta: Delta pairs the two parts of a
+    # coherence (swap, partner within S) and scales them (delta, a column)
+    swap: np.ndarray
+    delta: np.ndarray
+    dc: np.ndarray          # Delta^-1 (b_S - A_SF y), a column
     partner: np.ndarray
-    paired: np.ndarray      # 1.0 on a coherence's parts, 0.0 on a population
+    paired: np.ndarray      # column, 1.0 on coherence parts, 0.0 on pops
     coef_v: np.ndarray      # D_v, per unit velocity
     coef_s: np.ndarray      # D_signal
     populations: np.ndarray
@@ -384,24 +388,27 @@ def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
     eliminated once per generator and Doppler rates with the trace row
     imposed, leaving (S0 + shift * D_signal + v * Delta) x_S = c on the
     others, S, where Delta is D_v on S and invertible.  Per signal shift,
-    one eigendecomposition Delta^-1 (S0 + shift * D_signal) = V Lambda
-    V^-1 gives every node at once, x_S(v) = V (Lambda + v)^-1 V^-1
-    Delta^-1 c, and x_F = y - Z x_S; one refinement step through the same
-    expansion solves for the residual of the trace-imposed system.  On
-    fig7-full (counter-propagating) F and S hold 48 and 68 of the 116
-    driven real coordinates.
+    one eigendecomposition Delta^-1 (S0 + shift * D_signal) = W B W^-1, in
+    LAPACK's real eigenvector columns W (B block diagonal), gives every
+    node at once, x_S(v) = W (B + v)^-1 W^-1 Delta^-1 c, and x_F = y - Z
+    x_S (_expanded_states).  On fig7-full (counter-propagating) F and S
+    hold 48 and 68 of the 116 driven real coordinates.
 
-    Every node is checked against steady_state's residual bound on the
-    true generator and its trace and minimum-population bounds.  A node
-    that fails a check is solved by steady_state alone, and so is every
-    node of a shift whose eigendecomposition fails, and every node of
-    every shift if the generator has no unique steady state at rest, A_FF
-    is singular, or the signal shift moves a coordinate of F (a coherence
-    no velocity moves, as the two-photon coherences are for
-    counter-propagating beams with k_pump == k_signal); steady_state
-    raises SolverError, naming the node, where the generator has no valid
-    steady state.  The weighted sum over the nodes that passed is mapped
-    back to complex coordinates once per shift.
+    Each node is solved once, and its product A x, formed once, gives both
+    its checks and the refinement's residual.  Every node is checked
+    against steady_state's residual bound on the true generator and its
+    trace and minimum-population bounds.  One refinement step through the
+    same expansion is applied to the weighted sum over the nodes that
+    passed (_refined_average): it is linear in the residual, so this
+    equals refining every node and summing.  A node that fails a check is
+    solved by steady_state alone, and so is every node of a shift whose
+    eigendecomposition fails, and every node of every shift if the
+    generator has no unique steady state at rest, A_FF is singular, or the
+    signal shift moves a coordinate of F (a coherence no velocity moves,
+    as the two-photon coherences are for counter-propagating beams with
+    k_pump == k_signal); steady_state raises SolverError, naming the node,
+    where the generator has no valid steady state.  The refined sum is
+    mapped back to complex coordinates once per shift.
     """
     shifts = np.asarray(signal_shifts, dtype=float).reshape(-1)
     v = np.asarray(velocities, dtype=float)
@@ -413,11 +420,13 @@ def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
         ok = np.zeros(len(v), dtype=bool)
         if ex is not None:
             try:
-                x, ok = _expanded_states(ex, shift, v)
+                nodes = _expanded_states(ex, shift, v)
             except np.linalg.LinAlgError:
                 pass
             else:
-                out[j, ex.rows, ex.cols] = ex.t @ (x[:, ok] @ w[ok])
+                ok = nodes.ok
+                out[j, ex.rows, ex.cols] = ex.t @ _refined_average(ex, nodes,
+                                                                   w)
         for b in np.flatnonzero(~ok):
             try:
                 rho = steady_state(liou, doppler[0] * v[b],
@@ -497,7 +506,7 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
             [ar[:n_f, n_f:], b_r[:n_f], np.eye(n_f)]))
     except np.linalg.LinAlgError:
         return None
-    z, y, w_ff = sol[:, :n_s], sol[:, n_s], sol[:, n_s + 1:]
+    z, y, w_ff = sol[:, :n_s], sol[:, n_s:n_s + 1], sol[:, n_s + 1:]
     a_sf = ar[n_f:, :n_f]
 
     index = np.arange(len(p))
@@ -506,80 +515,117 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     coef_v, coef_s = sign * theta_v, sign * theta_s
     # (Delta^-1 m)[s] = m[partner[s]] / coef_v[partner[s]] on S
     swap = partner[n_f:] - n_f
-    p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / coef_v[n_f:][swap, None]
+    delta = coef_v[n_f:][swap, None]
+    p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
     t = np.zeros((len(driven), len(p)), dtype=complex)
     t[p, index] = np.where(im, 1j, 1.0)
     t[q, index] = np.where(im, -1j, 1.0)
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
+    ar[trace_row] = right(saved_row).real
     return _Expansion(
-        a=ar, saved_row=right(saved_row).real, trace_row=trace_row, n_f=n_f,
-        w_ff=w_ff, z=z, y=y, y_sf=a_sf @ w_ff, c=b_r[n_f:] - a_sf @ y,
-        p0=p0, ratio=theta_s[n_f:] / theta_v[n_f:], partner=partner,
-        paired=(~pop).astype(float), coef_v=coef_v, coef_s=coef_s,
+        a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
+        y_sf=a_sf @ w_ff, p0=p0, ratio=np.diag(theta_s[n_f:] / theta_v[n_f:]),
+        swap=swap, delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
+        partner=partner, paired=(~pop).astype(float)[:, None],
+        coef_v=coef_v, coef_s=coef_s,
         populations=np.flatnonzero(pop),
         diag=np.diagonal(a)[np.where(im, p, q)], off_max=float(np.max(off)),
         t=t, rows=rows, cols=cols)
 
 
-def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The real driven coordinates at every velocity node (one column
-    each) for one signal shift, and per node whether it passed the
-    checks."""
+class _Nodes(NamedTuple):
+    """_expanded_states' result for one signal shift, one column per
+    velocity node: the real driven coordinates and whether they passed the
+    checks, and what _refined_average needs to refine their weighted sum:
+    the residual A x - b on F and, on S, the residual's image in the real
+    eigenbasis W."""
+
+    x: np.ndarray
+    ok: np.ndarray
+    e_f: np.ndarray
+    u: np.ndarray           # (B + v)^-1 W^-1 Delta^-1 (e_S - Y_SF e_F)
+    basis: np.ndarray       # W
+
+
+def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray) -> _Nodes:
+    """Every velocity node for one signal shift, each solved and checked
+    once, from one eigendecomposition K = Delta^-1 (S0 + shift D_signal).
+
+    The basis is LAPACK's real eigenvector columns W: a conjugate pair of
+    eigenvalues a +- ib, b > 0, gives the columns Re and Im of the first
+    one's eigenvector, so K W = W B with B block diagonal, the 2x2 block
+    [[a, b], [-b, a]] per pair and a per real eigenvalue.  Column i's
+    partner column pair[i] (i itself for a real eigenvalue) and beta[i],
+    the imaginary part of eigenvalue i, give B u = a u + beta u[pair], and
+    (B + v)^-1 g = (alpha g - beta g[pair]) / (alpha^2 + beta^2), alpha =
+    a + v: on a pair, g[j] + i g[j+1] over the pole conj(lambda_j) + v.
+    Every array is real.  A node on a real pole, or a non-finite input,
+    gives a non-finite column and fails the checks."""
     n_f = ex.n_f
-    k = ex.p0.copy()
-    diag = np.arange(len(k))
-    k[diag, diag] += shift * ex.ratio
     # real arrays when every eigenvalue is real, complex ones otherwise
-    lam, vec = np.linalg.eig(k)
-    vec_inv = np.linalg.inv(vec)
-    poles = lam[:, None] + v
-    swap = ex.partner[n_f:] - n_f
-    delta = ex.coef_v[n_f:][swap, None]
+    lam, vec = np.linalg.eig(ex.p0 + shift * ex.ratio)
+    beta = lam.imag
+    basis = np.where(beta < 0, -vec.imag, vec.real)
+    basis_inv = np.linalg.inv(basis)
+    pair = np.arange(len(lam)) + np.sign(beta).astype(int)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = lam.real[:, None] + v
+        scale = 1.0 / (alpha * alpha + (beta * beta)[:, None])
+        re, im = alpha * scale, beta[:, None] * scale
 
-    def solve_s(rhs):       # (S0 + shift D_signal + v Delta)^-1 rhs per node
-        g = vec_inv @ (rhs[swap] / delta)
-        # a node on a pole, or a non-finite input, fails the checks below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (vec @ (g / poles)).real
+        def solve_b(g):     # (B + v)^-1 g per node
+            return re * g - im * g[pair]
 
-    x = np.empty((len(ex.a), len(v)))
-    x[n_f:] = solve_s(ex.c[:, None])
-    x[:n_f] = ex.y[:, None] - ex.z @ x[n_f:]
-    # one refinement step: A dx = b - A x through the same elimination
-    r = -_shifted_product(ex, shift, v, x)
-    r[ex.trace_row] += 1.0
-    dx_s = solve_s(r[n_f:] - ex.y_sf @ r[:n_f])
-    x[n_f:] += dx_s
-    x[:n_f] += ex.w_ff @ r[:n_f] - ex.z @ dx_s
-
-    # residual against the true generator (its own trace row); the
-    # complex residual of rho_ij is r_Re + i r_Im
-    r = _shifted_product(ex, shift, v, x)
-    r[ex.trace_row] = ex.saved_row @ x
-    resid = np.sqrt(np.max(r * r + (ex.paired[:, None] * r[ex.partner]) ** 2,
-                           axis=0))
-    ok = resid <= 1e-9
+        x = np.empty((len(ex.a), len(v)))
+        x[n_f:] = basis @ solve_b(basis_inv @ ex.dc)
+        x[:n_f] = ex.y - ex.z @ x[n_f:]
+        # A x once per node, on the true generator, is the check's
+        # residual; with the trace row imposed, where A x - b is the trace's
+        # error, it is e = A x - b, the refinement's
+        ax = ex.a @ x
+        ax[n_f:] += (shift * ex.coef_s[n_f:, None]
+                     + np.multiply.outer(ex.coef_v[n_f:], v)) * \
+            x[ex.partner[n_f:]]
+        # |r_Re + i r_Im| is the complex residual of rho_ij
+        sq = ax * ax
+        resid_sq = np.max(sq + ex.paired * sq[ex.partner], axis=0)
+        pops = x[ex.populations]
+        trace = pops.sum(axis=0) - 1.0
+        ax[ex.trace_row] = trace
+        # the refinement's solve per node, short of W and the sum
+        u = solve_b(basis_inv @ ((ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap]
+                                 / ex.delta))
+    ok = resid_sq <= 1e-18
     if not ok.all():
         # steady_state's bound 1e-9 * max|A| over each node's own matrix,
         # which differs from the one at rest only on the diagonal
         cell = np.abs(ex.diag[:, None] + 1j * (shift * ex.coef_s[:, None]
                                                + np.multiply.outer(ex.coef_v,
                                                                    v)))
-        ok |= resid <= 1e-9 * np.maximum(ex.off_max, cell.max(axis=0))
-    pops = x[ex.populations]
-    ok &= np.abs(pops.sum(axis=0) - 1.0) <= 1e-8
+        ok |= resid_sq <= (1e-9 * np.maximum(ex.off_max,
+                                             cell.max(axis=0))) ** 2
+    ok &= np.abs(trace) <= 1e-8
     ok &= pops.min(axis=0) >= -1e-8
-    return x, ok
+    return _Nodes(x, ok, ax[:n_f], u, basis)
 
 
-def _shifted_product(ex: _Expansion, shift: float, v: np.ndarray,
-                     x: np.ndarray) -> np.ndarray:
-    """A x for each node's generator (trace row imposed), node b in column
-    b: the one at rest plus shift * D_signal + v_b * D_v."""
-    return ex.a @ x + (shift * ex.coef_s[:, None]
-                       + np.multiply.outer(ex.coef_v, v)) * x[ex.partner]
+def _refined_average(ex: _Expansion, nodes: _Nodes, w: np.ndarray
+                     ) -> np.ndarray:
+    """The weighted sum of the nodes that passed the checks, with one
+    refinement step, A dx = b - A x through the elimination, applied to
+    the sum: dx is linear in the residual, so refining the sum gives the
+    sum of the refined nodes.  A failed node may hold inf or NaN, so the
+    nodes that passed are selected rather than the others given weight 0."""
+    x, ok, e_f, u, basis = nodes
+    if not ok.all():        # selecting copies, so only when a node failed
+        x, e_f, u, w = x[:, ok], e_f[:, ok], u[:, ok], w[ok]
+    # with e = A x - b the step is x -= A^-1 e, on S W (u @ w)
+    x = x @ w
+    step_s = basis @ (u @ w)
+    x[ex.n_f:] -= step_s
+    x[:ex.n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
+    return x
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-import yaml
 
 from .atomic import (DecayParams, LevelScheme, Manifold, SublevelId,
                      TransitionEntry, TransitionTable, decay_distribution,
@@ -175,6 +174,7 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def load_scenario(path: str) -> Scenario:
+    import yaml         # here and in load_preset: it slows CLI start-up
     with open(path) as fh:
         cfg = yaml.safe_load(fh)
     return scenario_from_config(cfg, name=path)
@@ -183,6 +183,7 @@ def load_scenario(path: str) -> Scenario:
 def load_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {PRESETS}")
+    import yaml
     text = resources.files("vaporplate.data").joinpath(f"{name}.yaml") \
         .read_text()
     return scenario_from_config(yaml.safe_load(text), name=name)

@@ -1,12 +1,17 @@
 """Command-line entry points: exit codes, output formats, round trips."""
 
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import vaporplate
 from vaporplate import (OpticalResponse, load_preset, read_sweep_csv,
                         synthesize_scan)
 from vaporplate.cli import main
@@ -49,6 +54,37 @@ def test_sweep_writes_readable_csv(tmp_path, capsys):
     assert len(det) == 5 and len(responses) == 5
     with open(out_csv) as fh:
         assert fh.readline().startswith("# vaporplate sweep CSV")
+
+
+def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
+    """A --checkpoint file that is not a numpy file ends in one error line
+    naming it and exit 1, and is left as it was."""
+    ck = tmp_path / "notes.txt"
+    ck.write_text("not a checkpoint\n")
+    out_csv = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, "sweep", "--preset", "fig1-ideal",
+                       "--out", str(out_csv), "--points", "5",
+                       "--checkpoint", str(ck))
+    assert code == 1
+    assert err.startswith("error:") and str(ck) in err
+    assert len(err.splitlines()) == 1
+    assert ck.read_text() == "not a checkpoint\n"
+    assert not out_csv.exists()
+
+
+def test_import_loads_neither_multiprocessing_nor_yaml():
+    """A fresh interpreter importing the package does not load the process
+    pool's multiprocessing or the YAML parser: only a pooled sweep and
+    scenario loading use them."""
+    src = str(Path(vaporplate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys; before = set(sys.modules); import vaporplate; "
+            "print(sorted({'multiprocessing', 'yaml'} & "
+            "(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_lcr_scan_output(capsys):

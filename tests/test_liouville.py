@@ -344,6 +344,79 @@ def test_real_eigenvalues_are_handled(monkeypatch):
     assert np.abs(got[0, 0, 1]) > 0.01
 
 
+def fig1_with_undamped_coherence(feed=None):
+    """fig1-ideal's generator with the coherence rho_01 (ground and an
+    intermediate sublevel) made undamped and cut off from every other
+    coordinate, and fed from the ground population if feed is given.
+    Delta^-1 S0 then has a real eigenvalue, rho_01's frequency over its
+    Doppler rate, beside the conjugate pairs of the damped coherences."""
+    scn = load_preset("fig1-ideal")
+    liou = vectorize(build_hamiltonian(scn.scheme, scn.transitions,
+                                       scn.fields), scn.scheme, scn.network)
+    i, j, g = (liou.coords.index(c) for c in ((0, 1), (1, 0), (0, 0)))
+    m = liou.m.copy()
+    m[[i, j], :] = 0.0
+    m[:, [i, j]] = 0.0
+    m[i, i], m[j, j] = 50j, -50j
+    if feed is not None:
+        m[i, g], m[j, g] = feed, np.conj(feed)
+    return dataclasses.replace(liou, m=m)
+
+
+def dense_average(liou, shifts, nodes, weights, doppler):
+    return [sum(w * steady_state(liou, doppler[0] * v, s + doppler[1] * v)
+                for v, w in zip(nodes, weights)) for s in shifts]
+
+
+def test_mixed_real_and_complex_spectrum(monkeypatch):
+    """A spectrum of Delta^-1 S0 with real eigenvalues and conjugate pairs
+    together (eig's arrays are complex, the real eigenvalues' imaginary
+    parts zero): the kernel matches the dense solve without falling
+    back."""
+    liou = fig1_with_undamped_coherence(feed=3.0 - 2.0j)
+    doppler = (-0.8, 0.45)
+    lam, _ = np.linalg.eig(liou._expansion(doppler).p0)
+    assert np.any(lam.imag == 0) and np.any(lam.imag != 0)
+    nodes, weights = np.array([-9.0, 0.4, 17.0]), np.array([0.2, 0.5, 0.3])
+    shifts = [0.0, 1.5, -30.0]
+    want = dense_average(liou, shifts, nodes, weights, doppler)
+
+    def no_fallback(*args):
+        raise AssertionError("dense fallback used")
+    monkeypatch.setattr(liouville, "steady_state", no_fallback)
+    got = steady_states(liou, shifts, nodes, weights, doppler)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+    assert np.abs(got[:, 0, 1]).min() > 0.01      # the real mode is driven
+
+
+def test_node_on_a_real_pole_alone_takes_the_dense_path(monkeypatch):
+    """A velocity node exactly on a real pole of the expansion, that of an
+    undamped coherence no other coordinate feeds, so the generator there
+    is regular: the node's column is not finite, the node alone goes to
+    steady_state at each shift, and the average, summed over the nodes
+    that passed rather than with a zero weight on the failed one, is
+    finite and matches the dense average."""
+    liou = fig1_with_undamped_coherence()
+    doppler = (-0.3, 0.45)
+    lam, _ = np.linalg.eig(liou._expansion(doppler).p0)
+    pole = -lam[lam.imag == 0].real[0]
+    nodes, weights = np.array([-9.0, pole, 17.0]), np.array([0.2, 0.5, 0.3])
+    shifts = [0.0, 1.5]
+    want = dense_average(liou, shifts, nodes, weights, doppler)
+    calls = []
+    dense = liouville.steady_state
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        calls.append((pump_shift, signal_shift))
+        return dense(liou, pump_shift, signal_shift)
+    monkeypatch.setattr(liouville, "steady_state", record)
+    got = steady_states(liou, shifts, nodes, weights, doppler)
+    assert calls == [(doppler[0] * pole, s + doppler[1] * pole)
+                     for s in shifts]
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
 def fig7_full_liouvillian(**decay):
     cfg = yaml.safe_load(resources.files("vaporplate.data")
                          .joinpath("fig7-full.yaml").read_text())
