@@ -4,9 +4,13 @@ The sweep is detuning-major: each row is one call of
 liouville.steady_states at one signal detuning over the whole velocity
 grid, which eliminates the coordinates no Doppler shift moves once per
 generator and geometry and then solves every velocity node from one
-eigendecomposition.  Rows are independent, so they are computed on one
-worker or on a process pool over detunings, and a row does not depend on
-the worker count or on the detunings beside it.  A checkpoint holds the
+eigendecomposition.  The generator at rest and those eliminations are kept
+across sweeps (_generator): a sweep whose generator inputs equal the last
+sweep's builds neither again, so a stream of one-detuning requests at one
+operating point pays for one eigendecomposition each.  Rows are
+independent, so they are computed on one worker or on a process pool over
+detunings, and a row does not depend on the worker count, on the detunings
+beside it or on whether the generator was kept.  A checkpoint holds the
 finished rows, so a resumed sweep computes only the others.
 """
 
@@ -150,11 +154,31 @@ class SweepSpec:
             raise ModelError(f"unknown geometry {self.geometry!r}")
 
 
+# The last generator _generator built and the key it was built for.
+_last_generator: tuple[tuple, Liouvillian] | None = None
+
+
 def _generator(spec: SweepSpec) -> Liouvillian:
     """The spec's Liouvillian for an atom at rest; every cell of the sweep
-    is this generator with its detunings shifted."""
+    is this generator with its detunings shifted.
+
+    The last generator built is kept, and with it the F eliminations
+    cached on it (Liouvillian._expansion), so a sweep whose generator
+    inputs equal the previous sweep's reuses both.  The key is everything
+    vectorize reads, by content: the Hamiltonian at rest byte for byte
+    (which covers the fields, the transitions and an in-place edit of the
+    energy offsets), the levels and tiers, and the decay network.  Only
+    the last generator is kept, and it keeps at most MAX_EXPANSIONS
+    eliminations, so memory stays bounded."""
+    global _last_generator
     h = build_hamiltonian(spec.scheme, spec.transitions, spec.fields)
-    return vectorize(h, spec.scheme, spec.network)
+    key = (h.tobytes(), spec.scheme.levels, spec.scheme.tiers, spec.network)
+    last = _last_generator
+    if last is not None and last[0] == key:
+        return last[1]
+    liou = vectorize(h, spec.scheme, spec.network)
+    _last_generator = key, liou
+    return liou
 
 
 def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float

@@ -17,13 +17,13 @@ selection rules leave the rest in coherence-only blocks whose steady
 state is exactly zero), in real form: populations and the real and
 imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
-leaves fixed (F) are eliminated once per generator and geometry, and the
-rest (S) solve at every node from one eigendecomposition per signal
-detuning.  Each node is solved and checked against steady_state's bounds
-once, and one refinement step is applied to the weighted average of the
-nodes that passed; a node that fails is solved by `steady_state` alone,
-and every node is when the generator has no unique steady state at rest
-or F cannot be eliminated.
+leaves fixed (F) are eliminated once per generator and geometry (a sweep
+keeps its generator across calls), and the rest (S) solve at every node
+from one eigendecomposition per signal detuning.  Each node is solved and
+checked against steady_state's bounds once, and one refinement step is
+applied to the weighted average of the nodes that passed; a node that
+fails is solved by `steady_state` alone, and every node is when the
+generator has no unique steady state at rest or F cannot be eliminated.
 """
 
 from __future__ import annotations
@@ -154,6 +154,11 @@ def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
     return h
 
 
+# Expansions a generator keeps (Liouvillian._expansion): one per geometry,
+# so a scenario swept in both keeps both; about 0.5 MB each on fig7-full.
+MAX_EXPANSIONS = 2
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Linear generator d vec(rho)/dt = m @ vec(rho) + s over the retained
@@ -184,17 +189,22 @@ class Liouvillian:
 
     @cached_property
     def _expansions(self) -> dict:
-        """_expansion's cache, keyed by the Doppler rates."""
+        """_expansion's cache, keyed by the Doppler rates, oldest first."""
         return {}
 
     def _expansion(self, doppler) -> "_Expansion | None":
         """The part of steady_states shared by every signal shift and
         velocity, worked out once per generator and pair of Doppler rates
-        (_build_expansion)."""
+        (_build_expansion), None included.  The generator of a sweep
+        outlives it (doppler._generator), so the cache keeps the latest
+        MAX_EXPANSIONS pairs and drops the oldest."""
         key = (float(doppler[0]), float(doppler[1]))
-        if key not in self._expansions:
-            self._expansions[key] = _build_expansion(self, *key)
-        return self._expansions[key]
+        cache = self._expansions
+        if key not in cache:
+            if len(cache) >= MAX_EXPANSIONS:
+                del cache[next(iter(cache))]
+            cache[key] = _build_expansion(self, *key)
+        return cache[key]
 
 
 def _driven(liou: Liouvillian) -> np.ndarray:
@@ -386,13 +396,15 @@ def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
     it returns is Hermitian by construction.  Velocity enters the
     generator only as v * D_v.  F, the coordinates D_v leaves fixed, is
     eliminated once per generator and Doppler rates with the trace row
-    imposed, leaving (S0 + shift * D_signal + v * Delta) x_S = c on the
-    others, S, where Delta is D_v on S and invertible.  Per signal shift,
-    one eigendecomposition Delta^-1 (S0 + shift * D_signal) = W B W^-1, in
-    LAPACK's real eigenvector columns W (B block diagonal), gives every
-    node at once, x_S(v) = W (B + v)^-1 W^-1 Delta^-1 c, and x_F = y - Z
-    x_S (_expanded_states).  On fig7-full (counter-propagating) F and S
-    hold 48 and 68 of the 116 driven real coordinates.
+    imposed (Liouvillian._expansion, and doppler.sweep keeps its generator,
+    so once across the sweeps of one scenario), leaving (S0 + shift *
+    D_signal + v * Delta) x_S = c on the others, S, where Delta is D_v on
+    S and invertible.  Per signal shift, one eigendecomposition Delta^-1
+    (S0 + shift * D_signal) = W B W^-1, in LAPACK's real eigenvector
+    columns W (B block diagonal), gives every node at once, x_S(v) = W (B
+    + v)^-1 W^-1 Delta^-1 c, and x_F = y - Z x_S (_expanded_states).  On
+    fig7-full (counter-propagating) F and S hold 48 and 68 of the 116
+    driven real coordinates.
 
     Each node is solved once, and its product A x, formed once, gives both
     its checks and the refinement's residual.  Every node is checked

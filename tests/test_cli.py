@@ -74,13 +74,13 @@ def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
 
 def test_import_loads_neither_multiprocessing_nor_yaml():
     """A fresh interpreter importing the package does not load the process
-    pool's multiprocessing or the YAML parser: only a pooled sweep and
-    scenario loading use them."""
+    pool's multiprocessing, the YAML parser or hashlib: only a pooled
+    sweep, scenario loading and a checkpoint's fingerprint use them."""
     src = str(Path(vaporplate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     code = ("import sys; before = set(sys.modules); import vaporplate; "
-            "print(sorted({'multiprocessing', 'yaml'} & "
+            "print(sorted({'multiprocessing', 'yaml', 'hashlib'} & "
             "(set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -141,7 +141,7 @@ def test_export_branching_table(tmp_path, capsys):
     out_csv = str(tmp_path / "branching.csv")
     code, _, _ = run(capsys, "export-table1", "--out", out_csv)
     assert code == 0
-    lines = open(out_csv).read().splitlines()
+    lines = Path(out_csv).read_text().splitlines()
     assert len(lines) == 9          # header + 8 ground rows
     first = lines[1].split(",")
     assert len(first) == 9          # label + 8 columns

@@ -2,6 +2,7 @@
 checkpointing, and the CSV interchange format."""
 
 import dataclasses
+import pickle
 import warnings
 from importlib import resources
 
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 import yaml
 
-from vaporplate import (CO, COUNTER, ConfigError, ModelError, SolverError,
-                        VelocityGrid, build_hamiltonian, doppler_shifts,
-                        load_preset, read_sweep_csv, response_from_density,
-                        scenario_from_config, steady_state, sweep,
-                        thermal_rms_velocity, vectorize, write_sweep_csv)
+from vaporplate import (CO, COUNTER, ConfigError, DecayNetwork, ModelError,
+                        SolverError, VelocityGrid, build_hamiltonian,
+                        doppler_shifts, load_preset, read_sweep_csv,
+                        response_from_density, scenario_from_config,
+                        steady_state, sweep, thermal_rms_velocity, vectorize,
+                        write_sweep_csv)
 from vaporplate import doppler, liouville, steady_states
 from vaporplate.doppler import MAX_GAUSS_HERMITE_NODES
 
@@ -178,8 +180,9 @@ def test_sweep_without_ground_relaxation_reports_nonunique_state(
                         "pair")
     spec = small_spec(scn, np.linspace(-30.0, 30.0, count), grid=grid,
                       geometry=geometry)
-    with pytest.raises(SolverError, match="non-unique"):
-        sweep(spec)
+    for _ in range(2):      # the second reuses the kept generator
+        with pytest.raises(SolverError, match="non-unique"):
+            sweep(spec)
 
 
 SWEEP_PRESETS = ["fig1-ideal", "fig8-qwp", "fig7-reduced15", "fig7-full"]
@@ -414,6 +417,146 @@ def test_half_grid_linearity(fig7):
     spec = small_spec(fig7, [25.0], grid=full)
     whole = np.asarray(sweep(spec)[0].as_tuple())
     assert np.max(np.abs(whole - combined)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The generator kept across sweeps
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Drops the generator kept by earlier sweeps, now and at each call;
+    the kept one is restored after the test."""
+    def drop():
+        monkeypatch.setattr(doppler, "_last_generator", None)
+    drop()
+    return drop
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the generators and eliminations sweeps build."""
+    count = {"vectorize": 0, "_build_expansion": 0}
+    for module, name in ((doppler, "vectorize"),
+                         (liouville, "_build_expansion")):
+        def counted(*args, _build=getattr(module, name), _name=name):
+            count[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(module, name, counted)
+    return count
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_kept_generator_rows_match_a_fresh_build(preset, geometry, cold):
+    """Sweeps that reuse the kept generator and its elimination give rows
+    bit-identical to sweeps that build both."""
+    scn = load_preset(preset)
+    grid = VelocityGrid.gauss_hermite(40)
+    specs = [small_spec(scn, [d], grid=grid, geometry=geometry)
+             for d in (-300.0, 10.0, 245.0)]
+    fresh = []
+    for spec in specs:
+        cold()
+        fresh.append(bits(sweep(spec)))
+    kept = doppler._generator(specs[-1])
+    warm = [bits(sweep(spec)) for spec in specs]
+    assert doppler._generator(specs[0]) is kept
+    assert np.array_equal(warm, fresh)
+
+
+def with_field(spec, role, **changes):
+    fields = dict(spec.fields)
+    fields[role] = dataclasses.replace(fields[role], **changes)
+    return dataclasses.replace(spec, fields=fields)
+
+
+def with_first_rate_doubled(spec):
+    (src, ((tgt, rate), *chans)), *rest = spec.network.channels
+    channels = ((src, ((tgt, 2.0 * rate), *chans)), *rest)
+    return dataclasses.replace(spec, network=DecayNetwork(
+        channels, spec.network.n_levels))
+
+
+def with_offset_edited_in_place(spec):
+    upper = spec.scheme.tiers.index(2)
+    spec.scheme.energy_offsets[upper] += 3.0
+    return spec
+
+
+GENERATOR_CHANGES = {
+    "pump-rabi": lambda spec: with_field(spec, "pump", rabi=90.0),
+    "pump-polarization": lambda spec: with_field(
+        spec, "pump", polarization=(0.6 + 0j, 0.8 + 0j)),
+    "signal-detuning": lambda spec: with_field(spec, "signal", detuning=5.0),
+    "decay-rate": with_first_rate_doubled,
+    "offset-in-place": with_offset_edited_in_place,
+}
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("change", GENERATOR_CHANGES)
+def test_changed_generator_input_rebuilds(change, geometry, fig7, cold,
+                                          builds):
+    """A sweep after one whose generator inputs differ builds its generator
+    anew and gives a fresh build's rows, even when the scheme's energy
+    offsets were edited in place."""
+    spec = small_spec(fig7, [-20.0, 245.0],
+                      grid=VelocityGrid.gauss_hermite(8), geometry=geometry)
+    scheme = dataclasses.replace(
+        spec.scheme, energy_offsets=spec.scheme.energy_offsets.copy())
+    spec = dataclasses.replace(spec, scheme=scheme)
+    sweep(spec)
+    changed = GENERATOR_CHANGES[change](spec)
+    rows = bits(sweep(changed))
+    assert builds == {"vectorize": 2, "_build_expansion": 2}
+    cold()
+    assert np.array_equal(rows, bits(sweep(changed)))
+
+
+def test_second_sweep_builds_neither_generator_nor_elimination(fig7, cold,
+                                                               builds):
+    """A one-detuning request after another on the same spec reuses the
+    generator at rest and its F elimination."""
+    spec = small_spec(fig7, [240.0], grid=VelocityGrid.gauss_hermite(40))
+    sweep(spec)
+    assert builds == {"vectorize": 1, "_build_expansion": 1}
+    sweep(dataclasses.replace(spec, detunings=np.array([250.0])))
+    assert builds == {"vectorize": 1, "_build_expansion": 1}
+
+
+def test_kept_eliminations_stay_within_the_cap(fig7, cold):
+    """A scan over ten signal wavevectors keeps one generator (k is not in
+    it) and at most MAX_EXPANSIONS eliminations; one that was dropped is
+    built again with the same rows."""
+    spec = small_spec(fig7, [245.0], grid=VelocityGrid.gauss_hermite(8))
+    scan = [with_field(spec, "signal", k=k) for k in np.linspace(0.1, 0.2, 10)]
+    rows = []
+    for scanned in scan:
+        rows.append(bits(sweep(scanned)))
+        kept = doppler._generator(scanned)
+        assert len(kept._expansions) <= liouville.MAX_EXPANSIONS
+    assert kept is doppler._generator(spec)
+    assert len(kept._expansions) == liouville.MAX_EXPANSIONS
+    assert np.array_equal(bits(sweep(scan[0])), rows[0])
+
+
+def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
+                                                         monkeypatch):
+    """The pickled generator carries its elimination into the workers once
+    a serial sweep has built it; rows of a pool started before and after
+    that are bit-identical to the serial sweep's."""
+    spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
+                      grid=VelocityGrid.gauss_hermite(4))
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    pooled_cold = bits(sweep(spec, workers=2))
+    serial = bits(sweep(spec))
+    kept = doppler._generator(spec)
+    carried = pickle.loads(pickle.dumps(kept))._expansions
+    assert len(kept._expansions) == 1
+    assert carried.keys() == kept._expansions.keys()
+    assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+    assert np.array_equal(pooled_cold, serial)
 
 
 # ---------------------------------------------------------------------------
