@@ -275,9 +275,6 @@ class LevelScheme:
     def n_levels(self) -> int:
         return len(self.levels)
 
-    def is_lumped(self, k: int) -> bool:
-        return self.levels[k].lumped
-
     def ground_slots(self) -> list[int]:
         return [k for k, t in enumerate(self.tiers) if t == 0]
 

@@ -2,6 +2,9 @@
 
 Angles cross this boundary in degrees; everything internal is radians.
 Exit codes: 0 success, 1 validation or physics error, 2 I/O error.
+
+Each command imports the modules it runs, so a process loads only those:
+`invert` needs neither numpy nor the model.
 """
 
 from __future__ import annotations
@@ -11,15 +14,8 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .atomic import load_table1
-from .doppler import CO, COUNTER, doppler_shifts, sweep, write_sweep_csv
 from .errors import ConfigError, VaporplateError
-from .liouville import build_hamiltonian, steady_state, vectorize
-from .polarimetry import (LcrScan, detector_intensity, invert_scan_lsq,
-                          response_from_density)
-from .scenario import PRESETS, Scenario, load_preset, load_scenario
+from .names import CO, COUNTER, PRESETS
 
 
 def _positive_int(text: str) -> int:
@@ -35,13 +31,14 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--scenario", metavar="PATH", help="scenario YAML file")
 
 
-def _get_scenario(args) -> Scenario:
+def _get_scenario(args):
+    from .scenario import load_preset, load_scenario
     if args.preset:
         return load_preset(args.preset)
     return load_scenario(args.scenario)
 
 
-def _apply_field_overrides(scn: Scenario, args) -> dict:
+def _apply_field_overrides(scn, args) -> dict:
     fields = dict(scn.fields)
     if getattr(args, "signal_detuning", None) is not None:
         if "signal" not in fields:
@@ -54,6 +51,9 @@ def _apply_field_overrides(scn: Scenario, args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .doppler import doppler_shifts
+    from .liouville import build_hamiltonian, steady_state, vectorize
+    from .polarimetry import response_from_density
     scn = _get_scenario(args)
     fields = _apply_field_overrides(scn, args)
     geometry = args.geometry or \
@@ -85,6 +85,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .doppler import sweep, write_sweep_csv
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry,
                           detuning_points=args.points,
@@ -114,6 +115,9 @@ def cmd_lcr(args) -> int:
                            ("--voltages", args.voltages)):
         if values and not all(map(math.isfinite, values)):
             raise ConfigError(f"{option} values must be finite")
+    import numpy as np
+    from .analyzer import detector_intensity
+    from .doppler import sweep
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry)
     delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
@@ -137,6 +141,7 @@ def cmd_lcr(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .analyzer import LcrScan, invert_scan_lsq
     rows = []
     with open(args.scan) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -167,6 +172,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .liouville import build_hamiltonian, steady_state, vectorize
     scn = _get_scenario(args)
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
@@ -186,6 +192,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export_table1(args) -> int:
+    from .atomic import load_table1
     table = load_table1()
     def label(lev):
         # level labels contain commas; keep the CSV single-delimiter

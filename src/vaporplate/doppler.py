@@ -28,13 +28,11 @@ from .atomic import LevelScheme, TransitionTable
 from .errors import ConfigError, ModelError, SolverError
 from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
                         build_hamiltonian, steady_states, vectorize)
+from .names import CO, COUNTER
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
 KB = 1.380649e-23          # J/K
 AMU = 1.66053906660e-27    # kg
-
-COUNTER = "counter_propagating"
-CO = "co_propagating"
 
 # Most nodes numpy's hermgauss builds with finite weights; from 371 nodes its
 # weights overflow.
@@ -43,7 +41,7 @@ MAX_GAUSS_HERMITE_NODES = 370
 CSV_HEADER = "delta_s,phi_plus,phi_minus,alpha_plus,alpha_minus,phi_d_deg,alpha_d"
 CSV_MAGIC = "# vaporplate sweep CSV v1"
 # in the fingerprint, so a checkpoint of another format is never resumed
-CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v3: finished rows"
+CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v4: finished rows"
 
 
 def thermal_rms_velocity(temperature: float, mass_amu: float) -> float:
@@ -196,16 +194,21 @@ def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float
     return np.array(r.as_tuple())
 
 
-def _fingerprint(spec: SweepSpec, liou: Liouvillian) -> str:
+def _fingerprint(spec: SweepSpec, generator_key: tuple) -> str:
     """Digest of everything a sweep's rows depend on: detunings, geometry,
-    grid, fields, medium and the generator at rest (scheme, transitions and
-    decay network), and of the checkpoint format."""
+    grid, fields, medium and the generator at rest, and of the checkpoint
+    format.  The generator enters by its _generator key (the Hamiltonian
+    at rest, the levels, the tiers and the decay network), which it is
+    built from and which is a few kB, not the generator itself (1 MB for
+    fig7-full)."""
     import hashlib      # here, not at the top: it slows CLI start-up
+    h_bytes, *structure = generator_key
     digest = hashlib.sha256(CHECKPOINT_FORMAT.encode())
     digest.update(spec.detunings.tobytes())
     digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
                         spec.medium)).encode())
-    digest.update(np.ascontiguousarray(liou.m))
+    digest.update(h_bytes)
+    digest.update(repr(structure).encode())
     return digest.hexdigest()
 
 
@@ -225,7 +228,8 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     is left as it is."""
     total = len(spec.detunings)
     liou = _generator(spec)
-    fingerprint = _fingerprint(spec, liou) if checkpoint else ""
+    # _last_generator now holds liou and the key it was built for
+    fingerprint = _fingerprint(spec, _last_generator[0]) if checkpoint else ""
     rows = np.zeros((total, 4))
     done = 0
 

@@ -1,5 +1,7 @@
 """Jones-calculus polarimetry: medium response from steady-state coherences,
-the LCR + polarizer analyzer chain, scan synthesis, and scan inversion.
+the LCR + polarizer analyzer chain as Jones matrices, the LCR calibration
+and scan synthesis.  The closed-form detector model and the scan inversion
+are in analyzer.
 
 Circular basis convention (used everywhere in this package):
     sigma+ = -(x + iy)/sqrt(2),   sigma- = (x - iy)/sqrt(2)
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analyzer import LcrScan, detector_intensity
 from .atomic import LevelScheme, TransitionTable
-from .errors import InversionError, ModelError
+from .errors import ModelError
 from .liouville import FieldSpec
 
 _SQRT2 = math.sqrt(2.0)
@@ -185,21 +188,11 @@ def propagate_cell(e_in: np.ndarray, r: OpticalResponse) -> np.ndarray:
 # Analyzer chain (cell -> LCR at 45 deg -> crossed polarizer -> detector)
 # ---------------------------------------------------------------------------
 
-def detector_intensity(e0: float, alpha_minus: float, alpha_d: float,
-                       phi_d: float, theta: float) -> float:
-    """Closed-form detector intensity for a y-polarized input of intensity
-    scale e0, after the cell, an LCR at 45 degrees with retardance theta,
-    and a crossed (x) polarizer."""
-    return e0 / 4.0 * math.exp(-2.0 * alpha_minus) * (
-        1.0 + math.exp(-2.0 * alpha_d)
-        + (1.0 - math.exp(-2.0 * alpha_d)) * math.sin(theta)
-        - 2.0 * math.exp(-alpha_d) * math.cos(phi_d) * math.cos(theta))
-
-
 def jones_chain_intensity(e0: float, alpha_minus: float, alpha_d: float,
                           phi_d: float, theta: float) -> float:
-    """Same quantity evaluated through the explicit Jones-matrix product;
-    e0 is an intensity scale, so the input field amplitude is sqrt(e0)."""
+    """detector_intensity evaluated through the explicit Jones-matrix
+    product; e0 is an intensity scale, so the input field amplitude is
+    sqrt(e0)."""
     e_in = np.array([0.0, math.sqrt(e0)], dtype=complex)
     r = OpticalResponse(phi_plus=phi_d, phi_minus=0.0,
                         alpha_plus=alpha_minus + alpha_d,
@@ -249,24 +242,6 @@ DEFAULT_LCR_CALIBRATION = LcrCalibration(
 )
 
 
-@dataclass(frozen=True)
-class LcrScan:
-    """Sequence of (retardance, detector intensity) samples."""
-
-    thetas: tuple[float, ...]
-    intensities: tuple[float, ...]
-    e0: float = 1.0
-
-    def __post_init__(self):
-        if len(self.thetas) != len(self.intensities):
-            raise ModelError("scan sample arrays differ in length")
-        if not 0 < self.e0 < math.inf:
-            raise ModelError(f"scan intensity scale e0 must be finite and "
-                             f"> 0, got {self.e0!r}")
-        if not all(i >= 0 for i in self.intensities):
-            raise ModelError("scan intensities must be >= 0 and not NaN")
-
-
 def synthesize_scan(response: OpticalResponse, thetas, e0: float = 1.0
                     ) -> LcrScan:
     """Forward-model a scan of the LCR retardance for a given cell response."""
@@ -274,81 +249,6 @@ def synthesize_scan(response: OpticalResponse, thetas, e0: float = 1.0
     ii = tuple(detector_intensity(e0, response.alpha_minus, response.alpha_d,
                                   response.phi_d, t) for t in th)
     return LcrScan(th, ii, e0)
-
-
-@dataclass(frozen=True)
-class InversionResult:
-    alpha_d: float
-    phi_d: float                      # principal branch, in [0, pi]
-    phi_d_branches: tuple[float, float]
-    residual: float
-
-
-def _fit_scan(thetas: np.ndarray, intensities: np.ndarray, e0: float,
-              alpha_minus: float) -> InversionResult:
-    """Least-squares fit of the detector model over any number of samples.
-
-    With K = e0*exp(-2*alpha_minus)/4, u = exp(-2*alpha_d) and
-    w = exp(-alpha_d)*cos(phi_d), detector_intensity reads
-        I = K (1 + sin th) + K u (1 - sin th) - 2 K w cos th,
-    which is linear in (K, K u, K w).  K is fitted, so e0 and alpha_minus
-    enter only the residual; three distinct retardances determine the fit
-    exactly.  cos(phi_d) is even, so both phase branches are reported.
-    """
-    if not 0 < e0 < math.inf:
-        raise InversionError(f"e0 must be finite and > 0, got {e0!r}")
-    if not math.isfinite(alpha_minus):
-        raise InversionError(f"alpha_minus must be finite, got "
-                             f"{alpha_minus!r}")
-    if not np.all(np.isfinite(thetas)):
-        raise InversionError("retardances must be finite")
-    design = np.column_stack([1.0 + np.sin(thetas), 1.0 - np.sin(thetas),
-                              -2.0 * np.cos(thetas)])
-    (k, ku, kw), _, rank, sv = np.linalg.lstsq(design, intensities,
-                                               rcond=None)
-    if rank < 3 or sv[-1] < 1e-9 * sv[0]:
-        raise InversionError("ill-conditioned inversion: the retardances do "
-                             "not separate scale, attenuation and phase")
-    if not k > 0:
-        raise InversionError(f"inconsistent samples: fitted scale {k:.3e} "
-                             "<= 0")
-    u = ku / k
-    if not u > 0:
-        raise InversionError(f"inconsistent samples: exp(-2 alpha_d) = "
-                             f"{u:.3e} <= 0")
-    cos_pd = kw / k / math.sqrt(u)
-    if abs(cos_pd) > 1.0 + 1e-9:
-        raise InversionError(
-            f"inconsistent samples: |cos(phi_d)| = {abs(cos_pd):.6f} > 1")
-    alpha_d = -0.5 * math.log(u)
-    phi_d = math.acos(min(1.0, max(-1.0, cos_pd)))
-    resid = max(abs(detector_intensity(e0, alpha_minus, alpha_d, phi_d, t) - i)
-                for t, i in zip(thetas, intensities))
-    return InversionResult(alpha_d, phi_d, (phi_d, -phi_d), resid)
-
-
-def invert_scan(thetas, intensities, e0: float, alpha_minus: float
-                ) -> InversionResult:
-    """Recover (alpha_d, phi_d) from three scan samples.
-
-    Raises on degenerate retardance triples and on samples inconsistent
-    with the forward model.
-    """
-    th = np.asarray(thetas, dtype=float)
-    ii = np.asarray(intensities, dtype=float)
-    if th.shape != (3,) or ii.shape != (3,):
-        raise InversionError("invert_scan needs exactly 3 samples")
-    return _fit_scan(th, ii, e0, alpha_minus)
-
-
-def invert_scan_lsq(scan: LcrScan, e0: float, alpha_minus: float
-                    ) -> InversionResult:
-    """Least-squares inversion over a whole scan of at least 3 samples."""
-    th = np.asarray(scan.thetas, dtype=float)
-    if th.size < 3:
-        raise InversionError("least-squares inversion needs >= 3 samples")
-    return _fit_scan(th, np.asarray(scan.intensities, dtype=float), e0,
-                     alpha_minus)
 
 
 # ---------------------------------------------------------------------------

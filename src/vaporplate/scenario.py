@@ -17,16 +17,13 @@ import numpy as np
 from .atomic import (DecayParams, LevelScheme, Manifold, SublevelId,
                      TransitionEntry, TransitionTable, decay_distribution,
                      derive_transitions, load_table1)
-from .doppler import (CO, COUNTER, MAX_GAUSS_HERMITE_NODES, SweepSpec,
-                      VelocityGrid)
+from .doppler import MAX_GAUSS_HERMITE_NODES, SweepSpec, VelocityGrid
 from .errors import ConfigError
 from .liouville import DecayNetwork, FieldSpec
+from .names import CO, COUNTER, PRESETS
 from .polarimetry import DEFAULT_LCR_CALIBRATION, LcrCalibration, MediumParams
 
 SCHEMA_VERSION = 1
-
-PRESETS = ("fig1-ideal", "fig7-full", "fig7-reduced15", "fig8-qwp",
-           "two-level-oracle")
 
 # Most detunings or velocity nodes a scenario may ask for; a larger count is
 # a typo (1e5 x 1e5 cells would take weeks), not a sweep.
@@ -173,20 +170,41 @@ class Scenario:
 # Loading
 # ---------------------------------------------------------------------------
 
+def _parse_yaml(text: str, source: str):
+    """The YAML document in text, read from source; malformed YAML raises
+    a one-line ConfigError naming source.  Uses PyYAML's C parser when
+    PyYAML was built with libyaml: the two give equal documents, and the
+    C one parses a preset about eight times faster."""
+    import yaml         # here, not at the top: it slows CLI start-up
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" \
+            if mark else ""
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ConfigError(f"{source}{where}: malformed YAML: "
+                          f"{' '.join(problem.split())}") from None
+
+
 def load_scenario(path: str) -> Scenario:
-    import yaml         # here and in load_preset: it slows CLI start-up
-    with open(path) as fh:
-        cfg = yaml.safe_load(fh)
-    return scenario_from_config(cfg, name=path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at "
+                              f"byte {exc.start}") from None
+    return scenario_from_config(_parse_yaml(text, path), name=path)
 
 
 def load_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {PRESETS}")
-    import yaml
     text = resources.files("vaporplate.data").joinpath(f"{name}.yaml") \
         .read_text()
-    return scenario_from_config(yaml.safe_load(text), name=name)
+    return scenario_from_config(_parse_yaml(text, f"preset {name}"),
+                                name=name)
 
 
 def scenario_from_config(cfg: dict, name: str = "<config>") -> Scenario:

@@ -72,19 +72,53 @@ def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def test_import_loads_neither_multiprocessing_nor_yaml():
-    """A fresh interpreter importing the package does not load the process
-    pool's multiprocessing, the YAML parser or hashlib: only a pooled
-    sweep, scenario loading and a checkpoint's fingerprint use them."""
+def fresh_python(code, *args):
+    """stdout of `python -c code *args` with this package on the path."""
     src = str(Path(vaporplate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import sys; before = set(sys.modules); import vaporplate; "
-            "print(sorted({'multiprocessing', 'yaml', 'hashlib'} & "
-            "(set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_import_loads_neither_multiprocessing_nor_yaml():
+    """A fresh interpreter importing the package loads none of its
+    submodules, so neither numpy, the process pool's multiprocessing, the
+    YAML parser nor hashlib: the public names load their modules on first
+    use, and only a pooled sweep, scenario loading and a checkpoint's
+    fingerprint use the last three."""
+    out = fresh_python(
+        "import sys; before = set(sys.modules); import vaporplate; "
+        "new = set(sys.modules) - before; "
+        "print(sorted({'numpy', 'multiprocessing', 'yaml', 'hashlib'} & new),"
+        " sorted(m for m in new if m.startswith('vaporplate.')))")
+    assert out.strip() == "[] []"
+
+
+def test_invert_process_loads_no_numpy(tmp_path):
+    """`vaporplate invert` run as a program fits the scan without loading
+    numpy."""
+    response = OpticalResponse(phi_plus=1.1, phi_minus=0.2,
+                               alpha_plus=0.4, alpha_minus=0.15)
+    scan = synthesize_scan(response, np.radians(np.linspace(0, 180, 19)),
+                           e0=1.3)
+    path = tmp_path / "scan.csv"
+    path.write_text("theta_deg,intensity\n" + "".join(
+        f"{math.degrees(t)!r},{i!r}\n"
+        for t, i in zip(scan.thetas, scan.intensities)))
+    out = fresh_python(
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('vaporplate.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules)",
+        "invert", "--scan", str(path), "--e0", "1.3",
+        "--alpha-minus", "0.15")
+    lines = out.splitlines()
+    assert lines[-1] == "numpy loaded: False"
+    assert lines[0].startswith("alpha_d")
+    assert float(lines[0].split("=")[1]) == pytest.approx(response.alpha_d,
+                                                          abs=1e-6)
 
 
 def test_lcr_scan_output(capsys):
@@ -162,6 +196,20 @@ def test_sweep_point_counts_must_be_positive(tmp_path, capsys):
                   str(tmp_path / "x.csv"), flag, "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, where", [
+    (b"name: [unclosed\n", ", line 2"),
+    (b"name: \xff\xfe\n", ": not UTF-8 text")])
+def test_malformed_yaml_exits_one(tmp_path, capsys, content, where):
+    """A scenario file that is not YAML text ends in one error line naming
+    the file and where it breaks, not in a traceback."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "validate", "--scenario", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"{bad}{where}" in err
 
 
 def test_io_error_exits_two(capsys):

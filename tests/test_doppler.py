@@ -776,6 +776,24 @@ def test_checkpoint_ignored_for_different_geometry(tmp_path, fig7):
         assert a.as_tuple() == b.as_tuple()
 
 
+@pytest.mark.parametrize("change", ["decay-rate", "offset-in-place"])
+def test_checkpoint_ignored_for_different_generator(tmp_path, fig7, change):
+    """A checkpoint is not resumed by a sweep whose generator at rest
+    differs where the fields, grid and medium do not: in the decay network
+    or in an energy offset edited in place."""
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    spec = small_spec(fig7, [0.0, 10.0], grid=VelocityGrid.gauss_hermite(4))
+    spec = dataclasses.replace(spec, scheme=dataclasses.replace(
+        spec.scheme, energy_offsets=spec.scheme.energy_offsets.copy()))
+    sweep(spec, checkpoint=ck)
+    changed = GENERATOR_CHANGES[change](spec)
+    seen = []
+    resumed = sweep(changed, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == [1, 2]
+    assert np.array_equal(bits(resumed), bits(sweep(changed)))
+
+
 def test_csv_round_trip(tmp_path, fig7):
     spec = small_spec(fig7, [0.0, 30.0, 60.0])
     responses = sweep(spec)

@@ -290,6 +290,80 @@ def test_lsq_inversion_rejects_degenerate_schedule():
         invert_scan_lsq(scan, 1.0, 0.1)
 
 
+def svd_design(thetas):
+    th = np.asarray(thetas)
+    return np.column_stack([1.0 + np.sin(th), 1.0 - np.sin(th),
+                            -2.0 * np.cos(th)])
+
+
+def svd_fit(thetas, intensities):
+    """The oracle: numpy's SVD least squares of the detector model.
+    Returns whether its singular values refuse the design (smallest below
+    1e-9 of the largest, or rank < 3), alpha_d and phi_d."""
+    (k, ku, kw), _, rank, sv = np.linalg.lstsq(
+        svd_design(thetas), np.asarray(intensities), rcond=None)
+    refused = bool(rank < 3 or sv[-1] < 1e-9 * sv[0])
+    u = ku / k
+    return (refused, -0.5 * math.log(u),
+            math.acos(min(1.0, max(-1.0, kw / k / math.sqrt(u)))))
+
+
+@pytest.mark.parametrize("n", [3, 19])
+def test_fit_matches_svd_least_squares(n):
+    """The QR fit gives numpy's SVD least-squares answer to 1e-12 on seeded
+    scans with gate 6's parameter ranges: 3 samples at THETAS, 19 evenly
+    spaced over [0, pi] or drawn at random."""
+    rng = np.random.default_rng(20 + n)
+    for i in range(300):
+        ad, pd = rng.uniform(0.0, 1.0), rng.uniform(0.05, math.pi - 0.05)
+        am, e0 = rng.uniform(0.0, 0.5), rng.uniform(0.5, 2.0)
+        if n == 3:
+            thetas = THETAS
+        elif i % 2:
+            thetas = np.sort(rng.uniform(0.0, math.pi, n))
+        else:
+            thetas = np.linspace(0.0, math.pi, n)
+        scan = synthesize_scan(OpticalResponse(pd, 0.0, am + ad, am),
+                               thetas, e0)
+        res = invert_scan_lsq(scan, e0, am)
+        _, alpha_d, phi_d = svd_fit(scan.thetas, scan.intensities)
+        assert abs(res.alpha_d - alpha_d) <= 1e-12
+        assert abs(res.phi_d - phi_d) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 19])
+@pytest.mark.parametrize("start", [0.3, 2.0])
+def test_conditioning_threshold_matches_svd(n, start):
+    """Evenly spaced retardances whose design has a condition number just
+    above 1e9 are refused and just below are fitted, as the SVD decides."""
+    def schedule(spacing):
+        return start + spacing * np.arange(n)
+
+    def cond(spacing):
+        sv = np.linalg.svd(svd_design(schedule(spacing)), compute_uv=False)
+        return sv[0] / sv[-1]
+
+    lo, hi = 1e-7, 1e-2         # condition number falls as spacing grows
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if cond(mid) > 1e9 else (lo, mid)
+    response = OpticalResponse(1.3, 0.0, 0.5, 0.15)
+    for factor, side in ((0.999, 1), (0.9999, 1), (1.0001, -1),
+                         (1.001, -1)):
+        thetas = schedule(lo * factor)
+        assert side * (cond(lo * factor) - 1e9) > 1e5     # 1e-4 from 1e9
+        scan = synthesize_scan(response, thetas, 1.4)
+        refused, _, _ = svd_fit(scan.thetas, scan.intensities)
+        assert refused == (side == 1)
+        if refused:
+            with pytest.raises(InversionError, match="ill-conditioned"):
+                invert_scan_lsq(scan, 1.4, 0.15)
+        else:
+            res = invert_scan_lsq(scan, 1.4, 0.15)
+            assert res.alpha_d == pytest.approx(0.35, abs=1e-5)
+            assert res.phi_d == pytest.approx(1.3, abs=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # Rotated basis / ideal probe state
 # ---------------------------------------------------------------------------

@@ -350,3 +350,15 @@ def test_mutated_preset_solves_to_finite_rows_or_raises(mutation):
         return
     assert np.all(np.isfinite(rho))
     assert np.all(np.isfinite(rows))
+
+
+def test_c_and_python_yaml_loaders_parse_presets_alike():
+    """Scenarios are parsed with libyaml's loader when PyYAML has it; it
+    gives every preset the document the pure-Python loader gives."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    for name in PRESETS:
+        text = resources.files("vaporplate.data").joinpath(f"{name}.yaml") \
+            .read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), name
