@@ -116,26 +116,26 @@ def cmd_lcr(args) -> int:
         if values and not all(map(math.isfinite, values)):
             raise ConfigError(f"{option} values must be finite")
     import numpy as np
-    from .analyzer import detector_intensity
     from .doppler import sweep
+    from .polarimetry import synthesize_scan
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry)
     delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
     (r,) = sweep(replace(spec, detunings=np.array([delta_s])))
 
     if args.voltages:
-        thetas = [scn.analyzer.calibration.theta(v) for v in args.voltages]
+        thetas = scn.analyzer.calibration.theta(args.voltages)
         labels = [f"{v:g} V" for v in args.voltages]
     else:
         degs = args.thetas_deg or list(np.linspace(0.0, 180.0, 19))
         thetas = [math.radians(t) for t in degs]
         labels = [f"{t:g} deg" for t in degs]
     e0 = args.e0 if args.e0 is not None else scn.analyzer.e0
+    scan = synthesize_scan(r, thetas, e0)
     print(f"# delta_s = {delta_s:g}, phi_d = {math.degrees(r.phi_d):.4f} deg, "
           f"alpha_d = {r.alpha_d:.6e}")
     print("retardance,theta_deg,intensity")
-    for label, theta in zip(labels, thetas):
-        i = detector_intensity(e0, r.alpha_minus, r.alpha_d, r.phi_d, theta)
+    for label, theta, i in zip(labels, scan.thetas, scan.intensities):
         print(f"{label},{math.degrees(theta):.4f},{i:.8e}")
     return 0
 

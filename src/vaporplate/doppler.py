@@ -196,16 +196,20 @@ def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float
 
 def _fingerprint(spec: SweepSpec, generator_key: tuple) -> str:
     """Digest of everything a sweep's rows depend on: detunings, geometry,
-    grid, fields, medium and the generator at rest, and of the checkpoint
-    format.  The generator enters by its _generator key (the Hamiltonian
+    velocity nodes and weights, fields, medium and the generator at rest,
+    and of the checkpoint format.  The nodes and weights enter by their
+    bytes, not by the grid's repr, which costs about 1 ms on 200 numpy
+    floats.  The generator enters by its _generator key (the Hamiltonian
     at rest, the levels, the tiers and the decay network), which it is
     built from and which is a few kB, not the generator itself (1 MB for
     fig7-full)."""
     import hashlib      # here, not at the top: it slows CLI start-up
     h_bytes, *structure = generator_key
+    grid = spec.grid
     digest = hashlib.sha256(CHECKPOINT_FORMAT.encode())
     digest.update(spec.detunings.tobytes())
-    digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
+    digest.update(np.array([grid.velocities, grid.weights]).tobytes())
+    digest.update(repr((spec.geometry, sorted(spec.fields.items()),
                         spec.medium)).encode())
     digest.update(h_bytes)
     digest.update(repr(structure).encode())

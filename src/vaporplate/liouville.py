@@ -286,14 +286,18 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
 
     lumped = np.array([lev.lumped for lev in scheme.levels])
     keep = np.eye(n, dtype=bool) | ~(lumped[:, None] | lumped[None, :])
-    rows, cols = np.nonzero(keep)
-    excl_rows, excl_cols = np.nonzero(~keep)
-    if excl_rows.size and np.max(np.abs(_commutator(
-            h, rows, cols, excl_rows, excl_cols))) > 0.0:
+    # an off-diagonal entry of H in a lumped level's row or column links an
+    # excluded coherence to a retained coordinate
+    if np.any(h[~keep]):
         raise ModelError("excluded lumped coherences feed retained "
                          "coordinates; lumped levels must stay uncoupled")
 
-    m = _commutator(h, rows, cols, rows, cols)
+    # -i[H, .]: entry [a, b] is -i (h[r_a, r_b] [c_a == c_b] - [r_a == r_b]
+    # h[c_b, c_a]), the same products, in the same order, as
+    # -i (H (x) 1 - 1 (x) H^T) in row-major vectorization
+    rows, cols = np.nonzero(keep)
+    r, c = rows[:, None], cols[:, None]
+    m = -1j * (h[r, rows] * (c == cols) - (r == rows) * h[cols, c])
     loss = network.loss_rates()
     diag = np.arange(len(rows))
     m[diag, diag] -= 0.5 * (loss[rows] + loss[cols])
@@ -312,18 +316,6 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
         d_signal=1j * (signal_levels[rows] - signal_levels[cols]))
     _check_trace_preservation(liou)
     return liou
-
-
-def _commutator(h: np.ndarray, rows_a: np.ndarray, cols_a: np.ndarray,
-                rows_b: np.ndarray, cols_b: np.ndarray) -> np.ndarray:
-    """The block of -i[H, .] from coordinates (rows_b, cols_b) of rho to
-    coordinates (rows_a, cols_a): entry [a, b] is
-    -i (h[r_a, r_b] [c_a == c_b] - [r_a == r_b] h[c_b, c_a]), the same
-    products, in the same order, as -i (H (x) 1 - 1 (x) H^T) in row-major
-    vectorization."""
-    ra, ca = rows_a[:, None], cols_a[:, None]
-    return -1j * (h[ra, rows_b] * (ca == cols_b)
-                  - (ra == rows_b) * h[cols_b, ca])
 
 
 def _check_trace_preservation(liou: Liouvillian) -> None:
@@ -498,14 +490,16 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     if np.any(theta_s[:n_f]):
         return None
     pop = p == q
-
-    def right(m):       # m T, T mapping real coordinates to complex ones
-        mp, mq = m[..., p], m[..., q]
-        return np.where(im, 1j * (mp - mq), np.where(pop, mp, mp + mq))
-    at = right(a)
-    ap, aq = at[p], at[q]       # T^-1 (m T)
-    ar = np.where(im[:, None], -0.5j * (ap - aq),
-                  np.where(pop[:, None], ap, 0.5 * (ap + aq))).real
+    # T maps real coordinates to complex ones: rho_ij = x_Re + i x_Im and
+    # rho_ji = x_Re - i x_Im; T^H T is diagonal, 1 on a population and 2
+    # on each part of a coherence, so T^-1 = diag(T^H T)^-1 T^H.  ar is a
+    # real view of a complex array: a contiguous copy takes other BLAS
+    # paths and moves rows in the last bits
+    index = np.arange(len(p))
+    t = np.zeros((len(driven), len(p)), dtype=complex)
+    t[p, index] = np.where(im, 1j, 1.0)
+    t[q, index] = np.where(im, -1j, 1.0)
+    ar = (t.conj().T @ a @ t / np.where(pop, 1.0, 2.0)[:, None]).real
     trace_row = int(np.flatnonzero(
         p == np.searchsorted(driven, liou.populations[-1]))[0])
     b_r = np.zeros(len(p))
@@ -521,7 +515,6 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     z, y, w_ff = sol[:, :n_s], sol[:, n_s:n_s + 1], sol[:, n_s + 1:]
     a_sf = ar[n_f:, :n_f]
 
-    index = np.arange(len(p))
     partner = index + np.where(im, -1, np.where(pop, 0, 1))
     sign = np.where(im, 1.0, -1.0)
     coef_v, coef_s = sign * theta_v, sign * theta_s
@@ -529,12 +522,9 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     swap = partner[n_f:] - n_f
     delta = coef_v[n_f:][swap, None]
     p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
-    t = np.zeros((len(driven), len(p)), dtype=complex)
-    t[p, index] = np.where(im, 1j, 1.0)
-    t[q, index] = np.where(im, -1j, 1.0)
     off = np.abs(a)
     np.fill_diagonal(off, 0.0)
-    ar[trace_row] = right(saved_row).real
+    ar[trace_row] = (saved_row @ t).real
     return _Expansion(
         a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
         y_sf=a_sf @ w_ff, p0=p0, ratio=np.diag(theta_s[n_f:] / theta_v[n_f:]),

@@ -141,27 +141,23 @@ def response_from_density(rho: np.ndarray, scheme: LevelScheme,
     polarization, referenced to the driving component's complex amplitude so
     the result is independent of the signal polarization phase.  With the
     rotating-frame convention used here, Im of the referenced sum is
-    positive for an absorbing medium.  rho may be a stack of densities
-    (rho[..., il, iu]); the fields of the result then hold arrays of shape
-    rho.shape[:-2].
+    positive for an absorbing medium.
     """
-    rho = np.asarray(rho)
-    zero = np.zeros(rho.shape[:-2])
-    sums = {1: zero + 0j, -1: zero + 0j}
+    sums = {1: 0j, -1: 0j}
     counts = {1: 0, -1: 0}
     for entry in transitions.for_field("signal"):
         if entry.q not in sums:
             continue
         iu = scheme.index[entry.upper]
         il = scheme.index[entry.lower]
-        sums[entry.q] += entry.strength * rho[..., il, iu]
+        sums[entry.q] += entry.strength * rho[il, iu]
         counts[entry.q] += 1
 
     out = {}
     for q in (1, -1):
         eps = signal.component(q)
         if abs(eps) < 1e-15:
-            out[q] = (zero, zero)   # component not driven: nothing to measure
+            out[q] = (0.0, 0.0)     # component not driven: nothing to measure
             continue
         if counts[q] == 0:
             raise ModelError(
@@ -172,8 +168,7 @@ def response_from_density(rho: np.ndarray, scheme: LevelScheme,
         out[q] = (kl * medium.beta / 2.0 * ref.real,
                   kl * medium.beta * ref.imag / 2.0)
     (pp, ap), (pm, am) = out[1], out[-1]
-    # [()] turns the 0-d arrays of a single density into scalars
-    return OpticalResponse(pp[()], pm[()], ap[()], am[()])
+    return OpticalResponse(pp, pm, ap, am)
 
 
 def propagate_cell(e_in: np.ndarray, r: OpticalResponse) -> np.ndarray:

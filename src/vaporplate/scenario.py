@@ -355,6 +355,9 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
         if path not in ("reservoir", "effective"):
             raise ConfigError("decay.six_s_decay_path must be "
                               "reservoir or effective")
+        res_label = node.get("reservoir", "R")
+        res = SublevelId(res_label, lumped=True)
+        uppers = []         # the tier-2 levels, whose D2 decay feeds res
         for k, lev in enumerate(scheme.levels):
             if lev.lumped or scheme.tiers[k] == 0:
                 continue
@@ -363,6 +366,7 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
                                                      params.gamma_a):
                     add(k, scheme.index[slot], rate)
             elif scheme.tiers[k] == 2:
+                uppers.append(lev)
                 for slot, rate in decay_distribution(
                         lev, scheme, params.gamma_b * f_d1):
                     add(k, scheme.index[slot], rate)
@@ -370,24 +374,17 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
                 if path == "effective":
                     for tgt, frac in _table1_distribution(scheme, [lev]):
                         add(k, tgt, d2_rate * frac)
+                elif res not in scheme.index:
+                    raise ConfigError(
+                        f"decay: reservoir manifold {res_label!r} missing "
+                        "from the scheme (or use six_s_decay_path: "
+                        "effective)")
                 else:
-                    res_label = node.get("reservoir", "R")
-                    res = SublevelId(res_label, lumped=True)
-                    if res not in scheme.index:
-                        raise ConfigError(
-                            f"decay: reservoir manifold {res_label!r} missing "
-                            "from the scheme (or use six_s_decay_path: "
-                            "effective)")
                     add(k, scheme.index[res], d2_rate)
 
-        res_label = node.get("reservoir", "R")
-        res = SublevelId(res_label, lumped=True)
-        if res in scheme.index and node.get("six_s_decay_path",
-                                            "reservoir") == "reservoir":
+        if res in scheme.index and path == "reservoir":
             gamma_r = _freq(node.get("gamma_r", 1.0551), gamma_a_mhz,
                             "decay.gamma_r")
-            uppers = [lev for k, lev in enumerate(scheme.levels)
-                      if scheme.tiers[k] == 2 and not lev.lumped]
             for tgt, frac in _table1_distribution(scheme, uppers):
                 add(scheme.index[res], tgt, gamma_r * frac)
 

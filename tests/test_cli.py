@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, output formats, round trips."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 import yaml
 
 import vaporplate
-from vaporplate import (OpticalResponse, load_preset, read_sweep_csv,
-                        synthesize_scan)
+from vaporplate import (OpticalResponse, detector_intensity, load_preset,
+                        read_sweep_csv, sweep, synthesize_scan)
 from vaporplate.cli import main
 
 
@@ -131,6 +132,25 @@ def test_lcr_scan_output(capsys):
     assert len(lines) == 4
     for line in lines[1:]:
         assert float(line.split(",")[2]) >= 0.0
+
+
+def test_lcr_voltages_output(capsys):
+    """--voltages maps each voltage through the default calibration (2 V to
+    pi, 8 V to 0.1 rad) and prints the detector intensity of the sweep's
+    response at that retardance, to the digits printed."""
+    code, out, _ = run(capsys, "lcr", "--preset", "fig1-ideal",
+                       "--signal-detuning", "-50", "--voltages", "2", "8")
+    assert code == 0
+    scn = load_preset("fig1-ideal")
+    spec = scn.sweep_spec()
+    (r,) = sweep(dataclasses.replace(spec, detunings=np.array([-50.0])))
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["2 V", "180.0000"],
+                                         ["8 V", "5.7296"]]
+    for row, theta in zip(rows, (math.pi, 0.10)):
+        want = detector_intensity(scn.analyzer.e0, r.alpha_minus, r.alpha_d,
+                                  r.phi_d, theta)
+        assert row[2] == f"{want:.8e}"
 
 
 def test_invert_round_trip(tmp_path, capsys):

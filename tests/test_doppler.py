@@ -794,6 +794,28 @@ def test_checkpoint_ignored_for_different_generator(tmp_path, fig7, change):
     assert np.array_equal(bits(resumed), bits(sweep(changed)))
 
 
+def test_checkpoint_follows_grid_nodes_and_weights(tmp_path, fig7):
+    """A checkpoint is resumed by a sweep on an equal grid built again, and
+    recomputed for a grid that differs in the last bit of one weight."""
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    grid = VelocityGrid.gauss_hermite(4)
+    weights = list(grid.weights)
+    weights[1] = np.nextafter(weights[1], 1.0)
+    nudged = dataclasses.replace(grid, weights=tuple(weights))
+
+    def sweep_on(g, **kwargs):
+        return bits(sweep(small_spec(fig7, [0.0, 10.0], grid=g), **kwargs))
+    reference = sweep_on(grid, checkpoint=ck)
+    seen = []
+    resumed = sweep_on(VelocityGrid.gauss_hermite(4), checkpoint=ck,
+                       progress=lambda done, total: seen.append(done))
+    assert seen == [] and np.array_equal(resumed, reference)
+    recomputed = sweep_on(nudged, checkpoint=ck,
+                          progress=lambda done, total: seen.append(done))
+    assert seen == [1, 2]
+    assert np.array_equal(recomputed, sweep_on(nudged))
+
+
 def test_csv_round_trip(tmp_path, fig7):
     spec = small_spec(fig7, [0.0, 30.0, 60.0])
     responses = sweep(spec)

@@ -159,6 +159,18 @@ def test_lumped_coupling_in_hamiltonian_is_rejected():
         vectorize(h, scheme, network)
 
 
+@pytest.mark.parametrize("entry", [(0, 2), (2, 0)])
+def test_one_sided_lumped_coupling_is_rejected(entry):
+    """A coupling of the lumped level in one triangle of H only, small
+    enough to pass the Hermiticity check, is refused whether it sits in
+    the lumped level's row or in its column."""
+    scheme, network = lumped_scheme()
+    h = np.zeros((3, 3), dtype=complex)
+    h[entry] = 1e-14
+    with pytest.raises(ModelError, match="lumped levels must stay"):
+        vectorize(h, scheme, network)
+
+
 def kron_generator(h, scheme, network):
     """The generator as the Kronecker-product formula builds it on all n**2
     coordinates, with the decay network, restricted to the retained
