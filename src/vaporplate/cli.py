@@ -40,13 +40,12 @@ def _get_scenario(args):
 
 def _apply_field_overrides(scn, args) -> dict:
     fields = dict(scn.fields)
-    if getattr(args, "signal_detuning", None) is not None:
-        if "signal" not in fields:
-            raise ConfigError("scenario has no signal field to detune")
-        fields["signal"] = replace(fields["signal"],
-                                   detuning=args.signal_detuning)
-    if getattr(args, "pump_detuning", None) is not None:
-        fields["pump"] = replace(fields["pump"], detuning=args.pump_detuning)
+    for role in ("signal", "pump"):
+        detuning = getattr(args, f"{role}_detuning", None)
+        if detuning is not None:
+            if role not in fields:
+                raise ConfigError(f"scenario has no {role} field to detune")
+            fields[role] = replace(fields[role], detuning=detuning)
     return fields
 
 
@@ -60,8 +59,8 @@ def cmd_solve(args) -> int:
         (scn.sweep.geometry if scn.sweep else COUNTER)
     shifts = (0.0, 0.0)
     if args.velocity:
-        k_p = fields["pump"].k
-        k_s = fields["signal"].k if "signal" in fields else 0.0
+        k_p, k_s = (fields[role].k if role in fields else 0.0
+                    for role in ("pump", "signal"))
         shifts = doppler_shifts(args.velocity, geometry, k_p, k_s)
     h = build_hamiltonian(scn.scheme, scn.transitions, fields,
                           velocity_shifts=shifts)
@@ -91,8 +90,7 @@ def cmd_sweep(args) -> int:
                           detuning_points=args.points,
                           velocity_points=args.velocity_points)
     if args.pump_detuning is not None:
-        fields = _apply_field_overrides(scn, args)
-        spec = replace(spec, fields=fields)
+        spec = replace(spec, fields=_apply_field_overrides(scn, args))
 
     progress = None
     if args.progress:
@@ -243,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--signal-detuning", type=float, metavar="GAMMA_A")
     p.add_argument("--geometry", choices=(COUNTER, CO))
-    p.add_argument("--thetas-deg", type=float, nargs="+")
-    p.add_argument("--voltages", type=float, nargs="+")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--thetas-deg", type=float, nargs="+")
+    g.add_argument("--voltages", type=float, nargs="+")
     p.add_argument("--e0", type=float)
     p.set_defaults(func=cmd_lcr)
 

@@ -150,6 +150,9 @@ class SweepSpec:
         object.__setattr__(self, "detunings", d)
         if self.geometry not in (COUNTER, CO):
             raise ModelError(f"unknown geometry {self.geometry!r}")
+        for role in ("pump", "signal"):
+            if role not in self.fields:
+                raise ModelError(f"a sweep needs a {role} field")
 
 
 # The last generator _generator built and the key it was built for.
@@ -160,14 +163,14 @@ def _generator(spec: SweepSpec) -> Liouvillian:
     """The spec's Liouvillian for an atom at rest; every cell of the sweep
     is this generator with its detunings shifted.
 
-    The last generator built is kept, and with it the F eliminations
-    cached on it (Liouvillian._expansion), so a sweep whose generator
-    inputs equal the previous sweep's reuses both.  The key is everything
-    vectorize reads, by content: the Hamiltonian at rest byte for byte
-    (which covers the fields, the transitions and an in-place edit of the
-    energy offsets), the levels and tiers, and the decay network.  Only
-    the last generator is kept, and it keeps at most MAX_EXPANSIONS
-    eliminations, so memory stays bounded."""
+    The last generator built is kept, and with it the F elimination kept
+    on it (Liouvillian._expansion), so a sweep whose generator inputs equal
+    the previous sweep's reuses the generator, and its elimination too at
+    the same Doppler rates.  The key is everything vectorize reads, by
+    content: the Hamiltonian at rest byte for byte (which covers the
+    fields, the transitions and an in-place edit of the energy offsets),
+    the levels and tiers, and the decay network.  Only the last generator
+    is kept, and it keeps one elimination, so memory stays bounded."""
     global _last_generator
     h = build_hamiltonian(spec.scheme, spec.transitions, spec.fields)
     key = (h.tobytes(), spec.scheme.levels, spec.scheme.tiers, spec.network)
@@ -185,10 +188,9 @@ def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float
     row at one signal detuning.  The response is linear in rho, so the
     velocity average of rho is mapped once."""
     pump, signal = spec.fields["pump"], spec.fields["signal"]
-    (rho,) = steady_states(liou, detuning - signal.detuning,
-                           spec.grid.velocities, spec.grid.weights,
-                           doppler_shifts(1.0, spec.geometry, pump.k,
-                                          signal.k))
+    rho = steady_states(liou, detuning - signal.detuning,
+                        spec.grid.velocities, spec.grid.weights,
+                        doppler_shifts(1.0, spec.geometry, pump.k, signal.k))
     r = response_from_density(rho, spec.scheme, spec.transitions, signal,
                               spec.medium)
     return np.array(r.as_tuple())

@@ -11,7 +11,7 @@ diagonal entry of M moves with extra pump and signal detuning.
 `vectorize` builds -i[H, .] directly on the retained coordinates.
 `steady_state` is the dense per-cell solve and the oracle;
 `steady_states` averages steady states over a grid of velocity nodes at
-any number of signal detunings.  It solves only the driven coordinates,
+one signal detuning.  It solves only the driven coordinates,
 those a population reaches through the generator's couplings (the Zeeman
 selection rules leave the rest in coherence-only blocks whose steady
 state is exactly zero), in real form: populations and the real and
@@ -19,17 +19,16 @@ imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
 leaves fixed (F) are eliminated once per generator and geometry (a sweep
 keeps its generator across calls), and the rest (S) solve at every node
-from one eigendecomposition per signal detuning.  Each node is solved and
-checked against steady_state's bounds once, and one refinement step is
-applied to the weighted average of the nodes that passed; a node that
-fails is solved by `steady_state` alone, and every node is when the
-generator has no unique steady state at rest or F cannot be eliminated.
+from one eigendecomposition.  Each node is solved and checked once, and
+one refinement step is applied to the weighted average of the nodes that
+passed; a node that fails is solved by `steady_state` alone, and every
+node is when the generator has no unique steady state at rest or F cannot
+be eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -154,11 +153,6 @@ def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
     return h
 
 
-# Expansions a generator keeps (Liouvillian._expansion): one per geometry,
-# so a scenario swept in both keeps both; about 0.5 MB each on fig7-full.
-MAX_EXPANSIONS = 2
-
-
 @dataclass(frozen=True)
 class Liouvillian:
     """Linear generator d vec(rho)/dt = m @ vec(rho) + s over the retained
@@ -187,24 +181,19 @@ class Liouvillian:
         rho[self.rows, self.cols] = x
         return rho
 
-    @cached_property
-    def _expansions(self) -> dict:
-        """_expansion's cache, keyed by the Doppler rates, oldest first."""
-        return {}
-
     def _expansion(self, doppler) -> "_Expansion | None":
         """The part of steady_states shared by every signal shift and
-        velocity, worked out once per generator and pair of Doppler rates
-        (_build_expansion), None included.  The generator of a sweep
-        outlives it (doppler._generator), so the cache keeps the latest
-        MAX_EXPANSIONS pairs and drops the oldest."""
+        velocity (_build_expansion), None included, for the pair of Doppler
+        rates `doppler`.  The generator of a sweep outlives it
+        (doppler._generator), so the one for the last pair asked for is
+        kept, in _kept as (rates, expansion), and goes with a pickled
+        generator to a pool's workers."""
         key = (float(doppler[0]), float(doppler[1]))
-        cache = self._expansions
-        if key not in cache:
-            if len(cache) >= MAX_EXPANSIONS:
-                del cache[next(iter(cache))]
-            cache[key] = _build_expansion(self, *key)
-        return cache[key]
+        kept = getattr(self, "_kept", None)
+        if kept is None or kept[0] != key:
+            kept = key, _build_expansion(self, *key)
+            object.__setattr__(self, "_kept", kept)
+        return kept[1]
 
 
 def _driven(liou: Liouvillian) -> np.ndarray:
@@ -261,10 +250,6 @@ class _Expansion(NamedTuple):
     coef_v: np.ndarray      # D_v, per unit velocity
     coef_s: np.ndarray      # D_signal
     populations: np.ndarray
-    # for the residual bound: per real coordinate, the complex generator's
-    # diagonal entry that a shift moves by i coef, and max|off-diagonal|
-    diag: np.ndarray
-    off_max: float
     t: np.ndarray           # real coordinates -> complex driven ones
     rows: np.ndarray        # where each complex driven coordinate sits in rho
     cols: np.ndarray
@@ -372,13 +357,12 @@ def steady_state(liou: Liouvillian, pump_shift: float = 0.0,
     return rho
 
 
-def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
-                  doppler) -> np.ndarray:
-    """Velocity-averaged steady states: entry j of the (k, n, n) result is
-    the sum over nodes b of weights[b] * steady_state(liou, doppler[0] *
-    v_b, signal_shifts[j] + doppler[1] * v_b), v_b = velocities[b], to
-    rounding; doppler is the (pump, signal) detuning shift per unit
-    velocity.
+def steady_states(liou: Liouvillian, signal_shift: float, velocities,
+                  weights, doppler) -> np.ndarray:
+    """The velocity-averaged steady state at one signal shift: the (n, n)
+    sum over nodes b of weights[b] * steady_state(liou, doppler[0] * v_b,
+    signal_shift + doppler[1] * v_b), v_b = velocities[b], to rounding;
+    doppler is the (pump, signal) detuning shift per unit velocity.
 
     Only the driven coordinates are solved for (_driven): the others are
     damped coherences that no driven coordinate couples to, so their part
@@ -391,53 +375,50 @@ def steady_states(liou: Liouvillian, signal_shifts, velocities, weights,
     imposed (Liouvillian._expansion, and doppler.sweep keeps its generator,
     so once across the sweeps of one scenario), leaving (S0 + shift *
     D_signal + v * Delta) x_S = c on the others, S, where Delta is D_v on
-    S and invertible.  Per signal shift, one eigendecomposition Delta^-1
-    (S0 + shift * D_signal) = W B W^-1, in LAPACK's real eigenvector
-    columns W (B block diagonal), gives every node at once, x_S(v) = W (B
-    + v)^-1 W^-1 Delta^-1 c, and x_F = y - Z x_S (_expanded_states).  On
-    fig7-full (counter-propagating) F and S hold 48 and 68 of the 116
-    driven real coordinates.
+    S and invertible.  One eigendecomposition Delta^-1 (S0 + shift *
+    D_signal) = W B W^-1, in LAPACK's real eigenvector columns W (B block
+    diagonal), gives every node at once, x_S(v) = W (B + v)^-1 W^-1
+    Delta^-1 c, and x_F = y - Z x_S (_expanded_states).  On fig7-full
+    (counter-propagating) F and S hold 48 and 68 of the 116 driven real
+    coordinates.
 
     Each node is solved once, and its product A x, formed once, gives both
-    its checks and the refinement's residual.  Every node is checked
-    against steady_state's residual bound on the true generator and its
-    trace and minimum-population bounds.  One refinement step through the
-    same expansion is applied to the weighted sum over the nodes that
-    passed (_refined_average): it is linear in the residual, so this
-    equals refining every node and summing.  A node that fails a check is
-    solved by steady_state alone, and so is every node of a shift whose
-    eigendecomposition fails, and every node of every shift if the
-    generator has no unique steady state at rest, A_FF is singular, or the
-    signal shift moves a coordinate of F (a coherence no velocity moves,
-    as the two-photon coherences are for counter-propagating beams with
-    k_pump == k_signal); steady_state raises SolverError, naming the node,
-    where the generator has no valid steady state.  The refined sum is
-    mapped back to complex coordinates once per shift.
+    its checks and the refinement's residual.  A node passes if its
+    residual on the true generator is at most 1e-9, which is never looser
+    than steady_state's bound, and it meets steady_state's trace and
+    minimum-population bounds.  One refinement step through the same
+    expansion is applied to the weighted sum over the nodes that passed
+    (_refined_average): it is linear in the residual, so this equals
+    refining every node and summing.  A node that fails a check is solved
+    by steady_state alone, under its own bounds, and so is every node if
+    the eigendecomposition fails, the generator has no unique steady state
+    at rest, A_FF is singular, or the signal shift moves a coordinate of F
+    (a coherence no velocity moves, as the two-photon coherences are for
+    counter-propagating beams with k_pump == k_signal); steady_state
+    raises SolverError, naming the node, where the generator has no valid
+    steady state.  The refined sum is mapped back to complex coordinates
+    once.
     """
-    shifts = np.asarray(signal_shifts, dtype=float).reshape(-1)
     v = np.asarray(velocities, dtype=float)
     w = np.asarray(weights, dtype=float)
     ex = liou._expansion(doppler)
-    out = np.zeros((len(shifts), liou.n_levels, liou.n_levels),
-                   dtype=complex)
-    for j, shift in enumerate(shifts):
-        ok = np.zeros(len(v), dtype=bool)
-        if ex is not None:
-            try:
-                nodes = _expanded_states(ex, shift, v)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                ok = nodes.ok
-                out[j, ex.rows, ex.cols] = ex.t @ _refined_average(ex, nodes,
-                                                                   w)
-        for b in np.flatnonzero(~ok):
-            try:
-                rho = steady_state(liou, doppler[0] * v[b],
-                                   shift + doppler[1] * v[b])
-            except SolverError as exc:
-                raise SolverError(f"{exc} at v={v[b]:g}") from exc
-            out[j] += w[b] * rho
+    out = np.zeros((liou.n_levels, liou.n_levels), dtype=complex)
+    ok = np.zeros(len(v), dtype=bool)
+    if ex is not None:
+        try:
+            nodes = _expanded_states(ex, signal_shift, v)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            ok = nodes.ok
+            out[ex.rows, ex.cols] = ex.t @ _refined_average(ex, nodes, w)
+    for b in np.flatnonzero(~ok):
+        try:
+            rho = steady_state(liou, doppler[0] * v[b],
+                               signal_shift + doppler[1] * v[b])
+        except SolverError as exc:
+            raise SolverError(f"{exc} at v={v[b]:g}") from exc
+        out += w[b] * rho
     return out
 
 
@@ -522,8 +503,6 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     swap = partner[n_f:] - n_f
     delta = coef_v[n_f:][swap, None]
     p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
-    off = np.abs(a)
-    np.fill_diagonal(off, 0.0)
     ar[trace_row] = (saved_row @ t).real
     return _Expansion(
         a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
@@ -531,9 +510,7 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
         swap=swap, delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
         partner=partner, paired=(~pop).astype(float)[:, None],
         coef_v=coef_v, coef_s=coef_s,
-        populations=np.flatnonzero(pop),
-        diag=np.diagonal(a)[np.where(im, p, q)], off_max=float(np.max(off)),
-        t=t, rows=rows, cols=cols)
+        populations=np.flatnonzero(pop), t=t, rows=rows, cols=cols)
 
 
 class _Nodes(NamedTuple):
@@ -598,17 +575,8 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray) -> _Nodes:
         # the refinement's solve per node, short of W and the sum
         u = solve_b(basis_inv @ ((ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap]
                                  / ex.delta))
-    ok = resid_sq <= 1e-18
-    if not ok.all():
-        # steady_state's bound 1e-9 * max|A| over each node's own matrix,
-        # which differs from the one at rest only on the diagonal
-        cell = np.abs(ex.diag[:, None] + 1j * (shift * ex.coef_s[:, None]
-                                               + np.multiply.outer(ex.coef_v,
-                                                                   v)))
-        ok |= resid_sq <= (1e-9 * np.maximum(ex.off_max,
-                                             cell.max(axis=0))) ** 2
-    ok &= np.abs(trace) <= 1e-8
-    ok &= pops.min(axis=0) >= -1e-8
+    ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
+        (pops.min(axis=0) >= -1e-8)
     return _Nodes(x, ok, ax[:n_f], u, basis)
 
 

@@ -403,21 +403,18 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
 def _ground_targets(scheme: LevelScheme):
     """Map the shipped effective-branching rows onto scheme slots.
 
-    F=2 rows go to the matching resolved ground sublevels (dropped rows are
-    renormalized away), F=1 rows aggregate into the lumped ground reservoir."""
+    A row goes to the resolved ground sublevel with its F and mF, the
+    first one if two manifolds have it; an F=1 row without one aggregates
+    into the last lumped ground reservoir, and any other row is dropped
+    (None; dropped rows are renormalized away)."""
     table = load_table1()
-    targets = []
-    for r, row in enumerate(table.rows):
-        slot = None
-        for k, lev in enumerate(scheme.levels):
-            if scheme.tiers[k] != 0:
-                continue
-            if lev.lumped and row.f == 1:
-                slot = k
-            elif not lev.lumped and lev.f == row.f and lev.mf == row.mf:
-                slot = k
-                break
-        targets.append(slot)
+    grounds = [(k, scheme.levels[k]) for k in scheme.ground_slots()]
+    lumped = [k for k, lev in grounds if lev.lumped]
+    resolved = {(lev.f, lev.mf): k for k, lev in reversed(grounds)
+                if not lev.lumped}
+    targets = [resolved.get((row.f, row.mf),
+                            lumped[-1] if lumped and row.f == 1 else None)
+               for row in table.rows]
     return table, targets
 
 

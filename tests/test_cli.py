@@ -13,8 +13,11 @@ import pytest
 import yaml
 
 import vaporplate
-from vaporplate import (OpticalResponse, detector_intensity, load_preset,
-                        read_sweep_csv, sweep, synthesize_scan)
+from vaporplate import (COUNTER, OpticalResponse, VelocityGrid,
+                        build_hamiltonian, detector_intensity,
+                        doppler_shifts, load_preset, read_sweep_csv,
+                        response_from_density, scenario_from_config,
+                        steady_state, sweep, synthesize_scan, vectorize)
 from vaporplate.cli import main
 
 
@@ -55,6 +58,60 @@ def test_sweep_writes_readable_csv(tmp_path, capsys):
     assert len(det) == 5 and len(responses) == 5
     with open(out_csv) as fh:
         assert fh.readline().startswith("# vaporplate sweep CSV")
+
+
+def csv_rows(path):
+    detunings, responses = read_sweep_csv(str(path))
+    return detunings, np.array([r.as_tuple() for r in responses])
+
+
+def library_rows(spec):
+    return np.array([r.as_tuple() for r in sweep(spec)])
+
+
+def test_sweep_pump_detuning_gives_that_specs_rows(tmp_path, capsys):
+    """sweep --pump-detuning writes the rows of the preset's spec with the
+    pump at that detuning, which differ from the preset's own."""
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--preset", "fig1-ideal", "--out",
+                     str(out_csv), "--points", "5", "--pump-detuning", "-40")
+    assert code == 0
+    spec = load_preset("fig1-ideal").sweep_spec(detuning_points=5)
+    fields = dict(spec.fields)
+    fields["pump"] = dataclasses.replace(fields["pump"], detuning=-40.0)
+    detunings, rows = csv_rows(out_csv)
+    assert np.array_equal(detunings, spec.detunings)
+    want = library_rows(dataclasses.replace(spec, fields=fields))
+    assert np.allclose(rows, want, rtol=1e-11, atol=1e-15)
+    assert not np.allclose(rows, library_rows(spec), rtol=1e-6)
+
+
+def test_sweep_progress_counts_detunings(tmp_path, capsys):
+    code, _, err = run(capsys, "sweep", "--preset", "fig1-ideal", "--out",
+                       str(tmp_path / "sweep.csv"), "--points", "3",
+                       "--progress")
+    assert code == 0
+    assert err == "\r1/3 detunings\r2/3 detunings\r3/3 detunings\n"
+
+
+def test_uniform_velocity_grid_sweeps_its_rows(tmp_path, capsys):
+    """A scenario with a uniform velocity grid sweeps over
+    VelocityGrid.uniform with the scenario's count, temperature, mass and
+    span."""
+    def edit(cfg):
+        cfg["sweep"]["velocity"] = {"kind": "uniform", "points": 7,
+                                    "temperature_k": 380.0, "span": 3.0}
+    path = _preset_copy(tmp_path, "fig1-ideal", edit)
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--scenario", path, "--out",
+                     str(out_csv), "--points", "4")
+    assert code == 0
+    spec = load_preset("fig1-ideal").sweep_spec(detuning_points=4)
+    grid = VelocityGrid.uniform(7, 380.0, spec.grid.mass_amu, 3.0)
+    _, rows = csv_rows(out_csv)
+    want = library_rows(dataclasses.replace(spec, grid=grid))
+    assert np.allclose(rows, want, rtol=1e-11, atol=1e-15)
+    assert not np.allclose(rows, library_rows(spec), rtol=1e-6)
 
 
 def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
@@ -151,6 +208,36 @@ def test_lcr_voltages_output(capsys):
         want = detector_intensity(scn.analyzer.e0, r.alpha_minus, r.alpha_d,
                                   r.phi_d, theta)
         assert row[2] == f"{want:.8e}"
+
+
+def test_lcr_voltages_follow_the_scenario_calibration(tmp_path, capsys):
+    """A scenario's analyzer.lcr_calibration and e0 map --voltages to
+    retardances and intensities in place of the default calibration."""
+    def edit(cfg):
+        cfg["analyzer"] = {"e0": 2.0, "lcr_calibration": {
+            "voltages": [0.0, 4.0], "thetas": [2.0, 0.0]}}
+    path = _preset_copy(tmp_path, "fig1-ideal", edit)
+    code, out, _ = run(capsys, "lcr", "--scenario", path,
+                       "--signal-detuning", "-50", "--voltages", "1", "3")
+    assert code == 0
+    spec = load_preset("fig1-ideal").sweep_spec()
+    (r,) = sweep(dataclasses.replace(spec, detunings=np.array([-50.0])))
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["1 V", "85.9437"],
+                                         ["3 V", "28.6479"]]
+    for row, theta in zip(rows, (1.5, 0.5)):
+        want = detector_intensity(2.0, r.alpha_minus, r.alpha_d, r.phi_d,
+                                  theta)
+        assert row[2] == f"{want:.8e}"
+
+
+def test_lcr_thetas_and_voltages_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lcr", "--preset", "fig1-ideal", "--voltages", "2",
+              "--thetas-deg", "45", "90"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with" in out.err
 
 
 def test_invert_round_trip(tmp_path, capsys):
@@ -293,14 +380,18 @@ def test_invert_rejects_non_finite_scale_and_attenuation(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _reduced15_copy(tmp_path, edit):
-    """fig7-reduced15 written to a scenario file after edit(cfg)."""
+def _preset_copy(tmp_path, preset, edit):
+    """The preset written to a scenario file after edit(cfg)."""
     cfg = yaml.safe_load(resources.files("vaporplate.data")
-                         .joinpath("fig7-reduced15.yaml").read_text())
+                         .joinpath(f"{preset}.yaml").read_text())
     edit(cfg)
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+def _reduced15_copy(tmp_path, edit):
+    return _preset_copy(tmp_path, "fig7-reduced15", edit)
 
 
 def _set(*keys_and_value):
@@ -422,3 +513,63 @@ def test_scenario_without_velocity_points_sweeps(tmp_path, capsys):
     detunings, responses = read_sweep_csv(str(out_csv))
     assert code == 0 and len(responses) == 2
     assert all(np.all(np.isfinite(r.as_tuple())) for r in responses)
+
+
+@pytest.mark.parametrize("role, argv", [
+    ("pump", ["solve", "--pump-detuning", "1"]),
+    ("pump", ["sweep", "--points", "3"]),
+    ("pump", ["sweep", "--points", "3", "--pump-detuning", "1"]),
+    ("pump", ["lcr"]),
+    ("signal", ["solve", "--signal-detuning", "1"]),
+    ("signal", ["sweep", "--points", "3"]),
+    ("signal", ["lcr", "--voltages", "2"]),
+], ids=["pump-solve-detuning", "pump-sweep", "pump-sweep-detuning",
+        "pump-lcr", "signal-solve-detuning", "signal-sweep", "signal-lcr"])
+def test_missing_field_exits_one_without_csv(tmp_path, capsys, role, argv):
+    """A scenario without a pump or signal field: a command that needs the
+    field ends in one error line naming it and exit 1, not a traceback,
+    and writes no CSV."""
+    path = _preset_copy(tmp_path, "fig1-ideal", _delete("fields", role))
+    out_csv = tmp_path / "out.csv"
+    command, *rest = argv
+    if command == "sweep":
+        rest += ["--out", str(out_csv)]
+    code, out, err = run(capsys, command, "--scenario", path, *rest)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert role in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("role", [None, "pump", "signal"])
+def test_solve_velocity_prints_the_dense_solve_at_its_shifts(tmp_path,
+                                                              capsys, role):
+    """solve --velocity prints the dense solve with that velocity's
+    Doppler shifts in the scenario's geometry, k = 0 for a missing field;
+    with a pump, the shifts change what is printed."""
+    if role is None:
+        path = _preset_copy(tmp_path, "fig1-ideal", lambda cfg: None)
+    else:
+        path = _preset_copy(tmp_path, "fig1-ideal", _delete("fields", role))
+    code, out, _ = run(capsys, "solve", "--scenario", path, "--velocity",
+                       "60")
+    assert code == 0
+    scn = scenario_from_config(yaml.safe_load(Path(path).read_text()))
+    k_p, k_s = (scn.fields[r].k if r in scn.fields else 0.0
+                for r in ("pump", "signal"))
+    shifts = doppler_shifts(60.0, COUNTER, k_p, k_s)
+    h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields,
+                          velocity_shifts=shifts)
+    rho = steady_state(vectorize(h, scn.scheme, scn.network))
+    lines = out.splitlines()
+    pops = [float(line.split()[-1]) for line in
+            lines[lines.index("populations:") + 1:][:scn.scheme.n_levels]]
+    assert pops == [float(f"{rho[k, k].real:.6e}")
+                    for k in range(scn.scheme.n_levels)]
+    if "signal" in scn.fields:
+        r = response_from_density(rho, scn.scheme, scn.transitions,
+                                  scn.fields["signal"], scn.medium)
+        assert f"  phi_d       = {math.degrees(r.phi_d):.4f} deg" in lines
+    if "pump" in scn.fields:
+        code, at_rest, _ = run(capsys, "solve", "--scenario", path)
+        assert code == 0 and at_rest != out

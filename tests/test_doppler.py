@@ -303,7 +303,7 @@ def test_singular_block_solves_every_node_densely(monkeypatch):
     nodes, weights = np.array([-3.0, 0.5, 8.0]), np.array([0.3, 0.3, 0.4])
     rates = (-0.7, 0.4)
     shifts = np.array([1.0, 2.0])
-    want = steady_states(liou, shifts, nodes, weights, rates)
+    want = [steady_states(liou, s, nodes, weights, rates) for s in shifts]
     calls = []
     dense = liouville.steady_state
 
@@ -315,7 +315,7 @@ def test_singular_block_solves_every_node_densely(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     monkeypatch.setattr(liouville, "_expanded_states", singular)
     monkeypatch.setattr(liouville, "steady_state", record)
-    got = steady_states(liou, shifts, nodes, weights, rates)
+    got = [steady_states(liou, s, nodes, weights, rates) for s in shifts]
     assert calls == [(rates[0] * v, s + rates[1] * v)
                      for s in shifts for v in nodes]
     assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -525,20 +525,22 @@ def test_second_sweep_builds_neither_generator_nor_elimination(fig7, cold,
     assert builds == {"vectorize": 1, "_build_expansion": 1}
 
 
-def test_kept_eliminations_stay_within_the_cap(fig7, cold):
+def test_kept_eliminations_stay_within_the_cap(fig7, cold, builds):
     """A scan over ten signal wavevectors keeps one generator (k is not in
-    it) and at most MAX_EXPANSIONS eliminations; one that was dropped is
-    built again with the same rows."""
+    it) and one elimination, that of the last Doppler rates: each new k
+    builds one, a second sweep at the same k builds none, and one that was
+    dropped is built again with the same rows."""
     spec = small_spec(fig7, [245.0], grid=VelocityGrid.gauss_hermite(8))
     scan = [with_field(spec, "signal", k=k) for k in np.linspace(0.1, 0.2, 10)]
     rows = []
-    for scanned in scan:
+    for n, scanned in enumerate(scan, 1):
         rows.append(bits(sweep(scanned)))
-        kept = doppler._generator(scanned)
-        assert len(kept._expansions) <= liouville.MAX_EXPANSIONS
-    assert kept is doppler._generator(spec)
-    assert len(kept._expansions) == liouville.MAX_EXPANSIONS
+        assert builds == {"vectorize": 1, "_build_expansion": n}
+        assert np.array_equal(bits(sweep(scanned)), rows[-1])
+        assert builds == {"vectorize": 1, "_build_expansion": n}
+    assert doppler._generator(scan[-1]) is doppler._generator(spec)
     assert np.array_equal(bits(sweep(scan[0])), rows[0])
+    assert builds == {"vectorize": 1, "_build_expansion": 11}
 
 
 def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
@@ -552,9 +554,9 @@ def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
     pooled_cold = bits(sweep(spec, workers=2))
     serial = bits(sweep(spec))
     kept = doppler._generator(spec)
-    carried = pickle.loads(pickle.dumps(kept))._expansions
-    assert len(kept._expansions) == 1
-    assert carried.keys() == kept._expansions.keys()
+    carried = pickle.loads(pickle.dumps(kept))._kept
+    assert carried[0] == kept._kept[0]
+    assert np.array_equal(carried[1].p0, kept._kept[1].p0)
     assert np.array_equal(bits(sweep(spec, workers=2)), serial)
     assert np.array_equal(pooled_cold, serial)
 
