@@ -40,7 +40,7 @@ _EXPORTS = {
          "OpticalResponse", "from_circular", "ideal_probe_state",
          "jones_chain_intensity", "lcr_matrix", "linear_polarizer",
          "overlap", "propagate_cell", "response_from_density",
-         "rotated_basis", "rotation", "synthesize_scan", "to_circular"),
+         "rotation", "synthesize_scan", "to_circular"),
         "polarimetry"),
     **dict.fromkeys(
         ("Scenario", "load_preset", "load_scenario", "scenario_from_config"),

@@ -50,6 +50,8 @@ def _apply_field_overrides(scn, args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if not math.isfinite(args.velocity):
+        raise ConfigError(f"--velocity must be finite, got {args.velocity!r}")
     from .doppler import doppler_shifts
     from .liouville import build_hamiltonian, steady_state, vectorize
     from .polarimetry import response_from_density

@@ -28,7 +28,7 @@ be eliminated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +172,10 @@ class Liouvillian:
     populations: np.ndarray
     d_pump: np.ndarray
     d_signal: np.ndarray
+    # [rates, expansion] for the last Doppler rates _expansion was asked
+    # for; not an init field, so dataclasses.replace starts a new one
+    _kept: list = field(default_factory=list, init=False, compare=False,
+                        repr=False)
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
         return np.asarray(rho)[self.rows, self.cols].astype(complex)
@@ -186,14 +190,12 @@ class Liouvillian:
         velocity (_build_expansion), None included, for the pair of Doppler
         rates `doppler`.  The generator of a sweep outlives it
         (doppler._generator), so the one for the last pair asked for is
-        kept, in _kept as (rates, expansion), and goes with a pickled
-        generator to a pool's workers."""
+        kept, in _kept, and goes with a pickled generator to a pool's
+        workers."""
         key = (float(doppler[0]), float(doppler[1]))
-        kept = getattr(self, "_kept", None)
-        if kept is None or kept[0] != key:
-            kept = key, _build_expansion(self, *key)
-            object.__setattr__(self, "_kept", kept)
-        return kept[1]
+        if not self._kept or self._kept[0] != key:
+            self._kept[:] = key, _build_expansion(self, *key)
+        return self._kept[1]
 
 
 def _driven(liou: Liouvillian) -> np.ndarray:
@@ -387,17 +389,17 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     residual on the true generator is at most 1e-9, which is never looser
     than steady_state's bound, and it meets steady_state's trace and
     minimum-population bounds.  One refinement step through the same
-    expansion is applied to the weighted sum over the nodes that passed
-    (_refined_average): it is linear in the residual, so this equals
-    refining every node and summing.  A node that fails a check is solved
-    by steady_state alone, under its own bounds, and so is every node if
-    the eigendecomposition fails, the generator has no unique steady state
-    at rest, A_FF is singular, or the signal shift moves a coordinate of F
-    (a coherence no velocity moves, as the two-photon coherences are for
-    counter-propagating beams with k_pump == k_signal); steady_state
-    raises SolverError, naming the node, where the generator has no valid
-    steady state.  The refined sum is mapped back to complex coordinates
-    once.
+    expansion is applied to the weighted sum over the nodes that passed,
+    which _expanded_states returns: the step is linear in the residual, so
+    this equals refining every node and summing.  A node that fails a
+    check is solved by steady_state alone, under its own bounds, and so is
+    every node if the eigendecomposition fails, the generator has no
+    unique steady state at rest, A_FF is singular, or the signal shift
+    moves a coordinate of F (a coherence no velocity moves, as the
+    two-photon coherences are for counter-propagating beams with k_pump ==
+    k_signal); steady_state raises SolverError, naming the node, where the
+    generator has no valid steady state.  The refined sum is mapped back
+    to complex coordinates once.
     """
     v = np.asarray(velocities, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -406,12 +408,11 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     ok = np.zeros(len(v), dtype=bool)
     if ex is not None:
         try:
-            nodes = _expanded_states(ex, signal_shift, v)
+            x, ok = _expanded_states(ex, signal_shift, v, w)
         except np.linalg.LinAlgError:
             pass
         else:
-            ok = nodes.ok
-            out[ex.rows, ex.cols] = ex.t @ _refined_average(ex, nodes, w)
+            out[ex.rows, ex.cols] = ex.t @ x
     for b in np.flatnonzero(~ok):
         try:
             rho = steady_state(liou, doppler[0] * v[b],
@@ -513,23 +514,13 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
         populations=np.flatnonzero(pop), t=t, rows=rows, cols=cols)
 
 
-class _Nodes(NamedTuple):
-    """_expanded_states' result for one signal shift, one column per
-    velocity node: the real driven coordinates and whether they passed the
-    checks, and what _refined_average needs to refine their weighted sum:
-    the residual A x - b on F and, on S, the residual's image in the real
-    eigenbasis W."""
-
-    x: np.ndarray
-    ok: np.ndarray
-    e_f: np.ndarray
-    u: np.ndarray           # (B + v)^-1 W^-1 Delta^-1 (e_S - Y_SF e_F)
-    basis: np.ndarray       # W
-
-
-def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray) -> _Nodes:
-    """Every velocity node for one signal shift, each solved and checked
-    once, from one eigendecomposition K = Delta^-1 (S0 + shift D_signal).
+def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ok) for one signal shift: ok says which velocity nodes v passed
+    the checks, and x is the weighted sum (weights w) of those that did, in
+    real driven coordinates, with one refinement step.  Each node is solved
+    and checked once, from one eigendecomposition K = Delta^-1 (S0 + shift
+    D_signal).
 
     The basis is LAPACK's real eigenvector columns W: a conjugate pair of
     eigenvalues a +- ib, b > 0, gives the columns Re and Im of the first
@@ -540,7 +531,13 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray) -> _Nodes:
     (B + v)^-1 g = (alpha g - beta g[pair]) / (alpha^2 + beta^2), alpha =
     a + v: on a pair, g[j] + i g[j+1] over the pole conj(lambda_j) + v.
     Every array is real.  A node on a real pole, or a non-finite input,
-    gives a non-finite column and fails the checks."""
+    gives a non-finite column and fails the checks.
+
+    The refinement step, A dx = b - A x through the elimination, is
+    applied to the sum: dx is linear in the residual, so refining the sum
+    gives the sum of the refined nodes.  A failed node may hold inf or NaN,
+    so the nodes that passed are selected rather than the others given
+    weight 0."""
     n_f = ex.n_f
     # real arrays when every eigenvalue is real, complex ones otherwise
     lam, vec = np.linalg.eig(ex.p0 + shift * ex.ratio)
@@ -577,25 +574,15 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray) -> _Nodes:
                                  / ex.delta))
     ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
         (pops.min(axis=0) >= -1e-8)
-    return _Nodes(x, ok, ax[:n_f], u, basis)
-
-
-def _refined_average(ex: _Expansion, nodes: _Nodes, w: np.ndarray
-                     ) -> np.ndarray:
-    """The weighted sum of the nodes that passed the checks, with one
-    refinement step, A dx = b - A x through the elimination, applied to
-    the sum: dx is linear in the residual, so refining the sum gives the
-    sum of the refined nodes.  A failed node may hold inf or NaN, so the
-    nodes that passed are selected rather than the others given weight 0."""
-    x, ok, e_f, u, basis = nodes
+    e_f = ax[:n_f]
     if not ok.all():        # selecting copies, so only when a node failed
         x, e_f, u, w = x[:, ok], e_f[:, ok], u[:, ok], w[ok]
     # with e = A x - b the step is x -= A^-1 e, on S W (u @ w)
     x = x @ w
     step_s = basis @ (u @ w)
-    x[ex.n_f:] -= step_s
-    x[:ex.n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
-    return x
+    x[n_f:] -= step_s
+    x[:n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
+    return x, ok
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

@@ -247,32 +247,21 @@ def synthesize_scan(response: OpticalResponse, thetas, e0: float = 1.0
 
 
 # ---------------------------------------------------------------------------
-# Rotated pump basis and the ideal probe polarization state
+# The ideal probe polarization state
 # ---------------------------------------------------------------------------
-
-def rotated_basis(alpha: complex, beta: complex
-                  ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Bright/dark intermediate superpositions for pump alpha*s+ + beta*s-.
-
-    Returns coefficient pairs on (|2>, |3>): the pump couples the ground
-    state only to plus = (conj(alpha), conj(beta)); minus = (-beta, alpha)
-    stays dark."""
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ModelError(f"pump polarization not normalized: {norm!r}")
-    plus = (np.conjugate(alpha), np.conjugate(beta))
-    minus = (-beta, alpha)
-    return plus, minus
-
 
 def ideal_probe_state(alpha: complex, beta: complex, phi: float) -> np.ndarray:
     """Polarization of a y-polarized probe after a phase phi on the bright leg.
 
     Lossless four-level picture: the probe is resolved on the rotated
     intermediate basis set by the pump polarization (alpha, beta), the
-    coupled leg acquires exp(i*phi), and the components are recombined.
-    Returns a unit-norm (x, y) Jones vector."""
-    rotated_basis(alpha, beta)   # validates normalization
+    bright leg (conj(alpha), conj(beta)) on (|2>, |3>), which the pump
+    couples, acquires exp(i*phi), the dark leg (-beta, alpha) does not, and
+    the components are recombined.  Returns a unit-norm (x, y) Jones
+    vector."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > 1e-12:
+        raise ModelError(f"pump polarization not normalized: {norm!r}")
     a, b = complex(alpha), complex(beta)
     ph = np.exp(1j * phi)
     c_minus = (abs(a) ** 2 + np.conjugate(b) * a) * ph \

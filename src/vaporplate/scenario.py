@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -44,11 +45,26 @@ def _check_keys(mapping, allowed, context):
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
-def _required(mapping, key, context):
-    """mapping[key], or a ConfigError naming the missing key's path."""
-    if key not in mapping:
-        raise ConfigError(f"{context}.{key} is required")
-    return mapping[key]
+_REQUIRED = object()
+
+
+def _get(node, key, context, parse=None, default=_REQUIRED):
+    """node[key], else default, passed through parse(value, context=path)
+    when parse is given; path, "context.key", names the key in its errors,
+    and a missing key without a default is a ConfigError naming it."""
+    path = f"{context}.{key}"
+    if key in node:
+        value = node[key]
+    elif default is _REQUIRED:
+        raise ConfigError(f"{path} is required")
+    else:
+        value = default
+    return value if parse is None else parse(value, context=path)
+
+
+def _each(parse):
+    """A parse for a list: parse applied to each item, as a tuple."""
+    return lambda values, context: tuple(parse(x, context) for x in values)
 
 
 def _number(value, context) -> float:
@@ -59,6 +75,14 @@ def _number(value, context) -> float:
     except (TypeError, ValueError):
         raise ConfigError(f"{context}: expected a number, got {value!r}") \
             from None
+
+
+def _positive(value, context) -> float:
+    number = _number(value, context)
+    if not 0 < number < math.inf:
+        raise ConfigError(f"{context} must be finite and positive, "
+                          f"got {number!r}")
+    return number
 
 
 def _integer(value, context) -> int:
@@ -90,6 +114,14 @@ def _freq(value, gamma_a_mhz, context) -> float:
     if unit == "GHz":
         return v * 1e3 / gamma_a_mhz
     raise ConfigError(f"{context}: unknown unit {unit!r}")
+
+
+def _rate(value, gamma_a_mhz, context) -> float:
+    """A decay rate in gamma_a units: finite and >= 0."""
+    rate = _freq(value, gamma_a_mhz, context)
+    if not 0 <= rate < math.inf:
+        raise ConfigError(f"{context} must be finite and >= 0, got {rate!r}")
+    return rate
 
 
 def _complexish(value, context) -> complex:
@@ -216,10 +248,7 @@ def scenario_from_config(cfg: dict, name: str = "<config>") -> Scenario:
     for key in ("scheme", "decay", "fields"):
         if key not in cfg:
             raise ConfigError(f"{name}: missing section {key!r}")
-    gamma_a_mhz = _number(cfg.get("gamma_a_mhz", 5.75), "gamma_a_mhz")
-    if not 0 < gamma_a_mhz < math.inf:
-        raise ConfigError(f"gamma_a_mhz must be finite and positive, "
-                          f"got {gamma_a_mhz!r}")
+    gamma_a_mhz = _positive(cfg.get("gamma_a_mhz", 5.75), "gamma_a_mhz")
     label = cfg.get("name", name)
 
     scheme = _build_scheme(cfg["scheme"], cfg["decay"], gamma_a_mhz)
@@ -236,6 +265,7 @@ def scenario_from_config(cfg: dict, name: str = "<config>") -> Scenario:
 
 def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
     _check_keys(node, {"nuclear_spin", "manifolds"}, "scheme")
+    freq = partial(_freq, gamma_a_mhz=gamma_a_mhz)
     manifolds = []
     for k, m in enumerate(node.get("manifolds", [])):
         ctx = f"scheme.manifolds[{k}]"
@@ -245,39 +275,31 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
         if "f" in m and "f_values" in m:
             raise ConfigError(f"{ctx}: give either f or f_values")
         if "f" in m:
-            f_values = (_integer(m["f"], f"{ctx}.f"),)
+            f_values = (_get(m, "f", ctx, _integer),)
         elif "f_values" in m:
-            f_values = tuple(_integer(f, f"{ctx}.f_values")
-                             for f in m["f_values"])
+            f_values = _get(m, "f_values", ctx, _each(_integer))
         else:
             raise ConfigError(f"{ctx}: f (or f_values) is required")
         manifolds.append(Manifold(
-            label=str(_required(m, "label", ctx)),
-            tier=_integer(_required(m, "tier", ctx), f"{ctx}.tier"),
-            j=_number(m.get("j", 0.5), f"{ctx}.j"),
+            label=str(_get(m, "label", ctx)),
+            tier=_get(m, "tier", ctx, _integer),
+            j=_get(m, "j", ctx, _number, 0.5),
             f_values=f_values,
-            offset=_freq(m.get("offset", 0.0), gamma_a_mhz, f"{ctx}.offset"),
+            offset=_get(m, "offset", ctx, freq, 0.0),
             lumped=lumped,
-            mf_values=tuple(_integer(x, f"{ctx}.mf_values")
-                            for x in m["mf_values"])
-            if m.get("mf_values") is not None else None,
+            mf_values=None if m.get("mf_values") is None
+            else _get(m, "mf_values", ctx, _each(_integer)),
             decays_to=tuple(m.get("decays_to", ())),
         ))
     _check_keys(decay_node, _DECAY_KEYS, "decay")
     params = DecayParams(
-        gamma_a=_freq(decay_node.get("gamma_a", 1.0), gamma_a_mhz,
-                      "decay.gamma_a"),
-        gamma_b=_freq(decay_node.get("gamma_b", 0.6), gamma_a_mhz,
-                      "decay.gamma_b"),
-        gamma_g=_freq(decay_node.get("gamma_g", 0.0), gamma_a_mhz,
-                      "decay.gamma_g"),
-        d1_d2_ratio=_number(decay_node.get("d1_d2_ratio", 0.5),
-                            "decay.d1_d2_ratio"),
-    )
+        gamma_a=_get(decay_node, "gamma_a", "decay", freq, 1.0),
+        gamma_b=_get(decay_node, "gamma_b", "decay", freq, 0.6),
+        gamma_g=_get(decay_node, "gamma_g", "decay", freq, 0.0),
+        d1_d2_ratio=_get(decay_node, "d1_d2_ratio", "decay", _number, 0.5))
     return LevelScheme.build(
         manifolds, params,
-        nuclear_spin=_number(node.get("nuclear_spin", 1.5),
-                             "scheme.nuclear_spin"))
+        nuclear_spin=_get(node, "nuclear_spin", "scheme", _number, 1.5))
 
 
 _DECAY_KEYS = {"gamma_a", "gamma_b", "gamma_g", "d1_d2_ratio",
@@ -323,32 +345,30 @@ def _build_transitions(node, scheme: LevelScheme) -> TransitionTable:
         ctx = f"transitions.entries[{k}]"
         _check_keys(e, {"field", "upper", "lower", "q", "strength"}, ctx)
         entries.append(TransitionEntry(
-            upper=_parse_level(scheme, _required(e, "upper", ctx), ctx),
-            lower=_parse_level(scheme, _required(e, "lower", ctx), ctx),
-            q=_integer(_required(e, "q", ctx), f"{ctx}.q"),
-            strength=_number(e.get("strength", 1.0), f"{ctx}.strength"),
-            field=str(_required(e, "field", ctx))))
+            upper=_parse_level(scheme, _get(e, "upper", ctx), ctx),
+            lower=_parse_level(scheme, _get(e, "lower", ctx), ctx),
+            q=_get(e, "q", ctx, _integer),
+            strength=_get(e, "strength", ctx, _number, 1.0),
+            field=str(_get(e, "field", ctx))))
     return TransitionTable(tuple(entries))
 
 
 def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
     params = scheme.decay
+    decay_rate = partial(_rate, gamma_a_mhz=gamma_a_mhz)
     chans: dict[int, list[tuple[int, float]]] = {}
 
     def add(src: int, tgt: int, rate: float):
-        if rate != 0:       # negative and NaN rates go on to be rejected
+        if rate != 0:
             chans.setdefault(src, []).append((tgt, rate))
 
     if "explicit_channels" in node:
         for k, c in enumerate(node["explicit_channels"]):
             ctx = f"decay.explicit_channels[{k}]"
             _check_keys(c, {"from", "to", "rate"}, ctx)
-            src = scheme.index[_parse_level(scheme, _required(c, "from", ctx),
-                                            ctx)]
-            tgt = scheme.index[_parse_level(scheme, _required(c, "to", ctx),
-                                            ctx)]
-            add(src, tgt, _freq(_required(c, "rate", ctx), gamma_a_mhz,
-                                f"{ctx}.rate"))
+            src = scheme.index[_parse_level(scheme, _get(c, "from", ctx), ctx)]
+            tgt = scheme.index[_parse_level(scheme, _get(c, "to", ctx), ctx)]
+            add(src, tgt, _get(c, "rate", ctx, decay_rate))
     else:
         f_d1 = params.d1_d2_ratio / (1.0 + params.d1_d2_ratio)
         path = node.get("six_s_decay_path", "reservoir")
@@ -383,8 +403,7 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
                     add(k, scheme.index[res], d2_rate)
 
         if res in scheme.index and path == "reservoir":
-            gamma_r = _freq(node.get("gamma_r", 1.0551), gamma_a_mhz,
-                            "decay.gamma_r")
+            gamma_r = _get(node, "gamma_r", "decay", decay_rate, 1.0551)
             for tgt, frac in _table1_distribution(scheme, uppers):
                 add(scheme.index[res], tgt, gamma_r * frac)
 
@@ -440,6 +459,7 @@ def _table1_distribution(scheme: LevelScheme, uppers):
 
 def _build_fields(node, gamma_a_mhz) -> dict[str, FieldSpec]:
     _check_keys(node, {"pump", "signal"}, "fields")
+    freq = partial(_freq, gamma_a_mhz=gamma_a_mhz)
     fields = {}
     for role, f in node.items():
         ctx = f"fields.{role}"
@@ -447,13 +467,12 @@ def _build_fields(node, gamma_a_mhz) -> dict[str, FieldSpec]:
                     ctx)
         pol = f.get("polarization", {"plus": 1.0, "minus": 0.0})
         _check_keys(pol, {"plus", "minus"}, f"{ctx}.polarization")
-        a = _complexish(pol.get("plus", 0.0), f"{ctx}.polarization.plus")
-        b = _complexish(pol.get("minus", 0.0), f"{ctx}.polarization.minus")
+        a = _get(pol, "plus", f"{ctx}.polarization", _complexish, 0.0)
+        b = _get(pol, "minus", f"{ctx}.polarization", _complexish, 0.0)
         norm = math.hypot(abs(a), abs(b))
         if norm == 0:
             raise ConfigError(f"{ctx}: polarization must be nonzero")
-        wavelength_nm = _number(f.get("wavelength_nm", 0.0),
-                                f"{ctx}.wavelength_nm")
+        wavelength_nm = _get(f, "wavelength_nm", ctx, _number, 0.0)
         if not 0 <= wavelength_nm < math.inf:
             raise ConfigError(f"{ctx}.wavelength_nm must be finite and "
                               f">= 0 (0: no Doppler shift), "
@@ -462,9 +481,8 @@ def _build_fields(node, gamma_a_mhz) -> dict[str, FieldSpec]:
             if wavelength_nm else 0.0
         fields[role] = FieldSpec(
             role=role,
-            rabi=_freq(f.get("rabi", 0.0), gamma_a_mhz, f"{ctx}.rabi"),
-            detuning=_freq(f.get("detuning", 0.0), gamma_a_mhz,
-                           f"{ctx}.detuning"),
+            rabi=_get(f, "rabi", ctx, freq, 0.0),
+            detuning=_get(f, "detuning", ctx, freq, 0.0),
             polarization=(a / norm, b / norm),
             k=k)
     return fields
@@ -476,17 +494,12 @@ def _build_medium(node, decay: DecayParams) -> MediumParams | None:
     _check_keys(node, {"n_atom_cm3", "length_cm", "wavelength_nm", "gamma",
                        "omega_min", "b_min_sq"}, "medium")
     return MediumParams(
-        n_atom=_number(_required(node, "n_atom_cm3", "medium"),
-                       "medium.n_atom_cm3"),
-        length=_number(_required(node, "length_cm", "medium"),
-                       "medium.length_cm"),
-        wavelength_nm=_number(node.get("wavelength_nm", 1323.0),
-                              "medium.wavelength_nm"),
-        gamma=_number(node.get("gamma", decay.gamma_b), "medium.gamma"),
-        omega_min=_number(_required(node, "omega_min", "medium"),
-                          "medium.omega_min"),
-        b_min_sq=_number(node.get("b_min_sq", 1.0 / 12.0),
-                         "medium.b_min_sq"))
+        n_atom=_get(node, "n_atom_cm3", "medium", _number),
+        length=_get(node, "length_cm", "medium", _number),
+        wavelength_nm=_get(node, "wavelength_nm", "medium", _number, 1323.0),
+        gamma=_get(node, "gamma", "medium", _number, decay.gamma_b),
+        omega_min=_get(node, "omega_min", "medium", _number),
+        b_min_sq=_get(node, "b_min_sq", "medium", _number, 1.0 / 12.0))
 
 
 def _build_sweep(node) -> SweepSettings | None:
@@ -500,7 +513,7 @@ def _build_sweep(node) -> SweepSettings | None:
     geometry = node.get("geometry", COUNTER)
     if geometry not in (COUNTER, CO):
         raise ConfigError(f"sweep.geometry must be {COUNTER} or {CO}")
-    start, stop = (_number(_required(node, key, "sweep"), f"sweep.{key}")
+    start, stop = (_get(node, key, "sweep", _number)
                    for key in ("detuning_start", "detuning_stop"))
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError("sweep.detuning_start and sweep.detuning_stop "
@@ -511,24 +524,18 @@ def _build_sweep(node) -> SweepSettings | None:
                           f"{VELOCITY_KINDS}, got {kind!r}")
     # checked here, where validate sees them, rather than when the grid is
     # built; building a Gauss-Hermite grid costs milliseconds
-    thermal = {}
-    for key, default in (("temperature_k", 403.0), ("mass_amu", 86.909),
-                         ("span", 4.0)):
-        value = _number(vel.get(key, default), f"sweep.velocity.{key}")
-        if not 0 < value < math.inf:
-            raise ConfigError(f"sweep.velocity.{key} must be finite and "
-                              f"positive, got {value!r}")
-        thermal[key] = value
-    points = _count(vel.get("points", DEFAULT_VELOCITY_POINTS),
-                    "sweep.velocity.points")
+    thermal = {key: _get(vel, key, "sweep.velocity", _positive, default)
+               for key, default in (("temperature_k", 403.0),
+                                    ("mass_amu", 86.909), ("span", 4.0))}
+    points = _get(vel, "points", "sweep.velocity", _count,
+                  DEFAULT_VELOCITY_POINTS)
     if kind == "gauss_hermite" and points > MAX_GAUSS_HERMITE_NODES:
         raise ConfigError(f"sweep.velocity.points must be at most "
                           f"{MAX_GAUSS_HERMITE_NODES} for a gauss_hermite "
                           f"grid, got {points}")
     return SweepSettings(
         detuning_start=start, detuning_stop=stop,
-        detuning_points=_count(node.get("detuning_points", 512),
-                               "sweep.detuning_points"),
+        detuning_points=_get(node, "detuning_points", "sweep", _count, 512),
         geometry=geometry,
         velocity_kind=kind,
         velocity_points=points,
@@ -543,15 +550,8 @@ def _build_analyzer(node) -> AnalyzerSettings:
     cal = DEFAULT_LCR_CALIBRATION
     if "lcr_calibration" in node:
         c = node["lcr_calibration"]
-        _check_keys(c, {"voltages", "thetas"}, "analyzer.lcr_calibration")
         ctx = "analyzer.lcr_calibration"
-        cal = LcrCalibration(
-            tuple(_number(v, f"{ctx}.voltages")
-                  for v in _required(c, "voltages", ctx)),
-            tuple(_number(t, f"{ctx}.thetas")
-                  for t in _required(c, "thetas", ctx)))
-    e0 = _number(node.get("e0", 1.0), "analyzer.e0")
-    if not 0 < e0 < math.inf:
-        raise ConfigError(f"analyzer.e0 must be finite and positive, "
-                          f"got {e0!r}")
-    return AnalyzerSettings(e0, cal)
+        _check_keys(c, {"voltages", "thetas"}, ctx)
+        cal = LcrCalibration(_get(c, "voltages", ctx, _each(_number)),
+                             _get(c, "thetas", ctx, _each(_number)))
+    return AnalyzerSettings(_get(node, "e0", "analyzer", _positive, 1.0), cal)

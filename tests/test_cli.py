@@ -359,6 +359,16 @@ def test_nan_input_exits_one(tmp_path, capsys):
     assert code == 1 and "not finite" in err
 
 
+@pytest.mark.parametrize("velocity", ["inf", "nan"])
+def test_solve_rejects_non_finite_velocity(capsys, velocity):
+    """A non-finite --velocity ends in one error line naming it, before a
+    Hamiltonian is built from its Doppler shifts."""
+    code, out, err = run(capsys, "solve", "--preset", "fig1-ideal",
+                         "--velocity", velocity)
+    assert code == 1 and out == ""
+    assert err == f"error: --velocity must be finite, got {velocity}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--e0", "nan"), ("--e0", "-2"), ("--e0", "0"), ("--e0", "inf"),
     ("--thetas-deg", "nan", "90"), ("--voltages", "nan"),
@@ -451,6 +461,25 @@ def test_bad_numbers_exit_one_without_csv(tmp_path, capsys, edit, command,
     assert code == 1 and out == ""
     assert err.startswith("error:") and reason in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("preset, edit, message", [
+    ("fig1-ideal", _set("decay", "explicit_channels", 0, "rate", math.inf),
+     "decay.explicit_channels[0].rate must be finite and >= 0, got inf"),
+    ("fig1-ideal", _set("decay", "explicit_channels", 0, "rate", math.nan),
+     "decay.explicit_channels[0].rate must be finite and >= 0, got nan"),
+    ("fig1-ideal", _set("decay", "explicit_channels", 0, "rate", -1.0),
+     "decay.explicit_channels[0].rate must be finite and >= 0, got -1.0"),
+    ("fig7-full", _set("decay", "gamma_r", math.nan),
+     "decay.gamma_r must be finite and >= 0, got nan"),
+], ids=["rate-inf", "rate-nan", "rate-minus-1", "gamma-r-nan"])
+def test_bad_decay_rate_is_named(tmp_path, capsys, preset, edit, message):
+    """A non-finite or negative decay rate ends in one error line naming
+    its key, not in a trace-preservation error after numpy warnings."""
+    code, out, err = run(capsys, "validate", "--scenario",
+                         _preset_copy(tmp_path, preset, edit))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def _delete(*keys):

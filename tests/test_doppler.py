@@ -11,7 +11,8 @@ import pytest
 import yaml
 
 from vaporplate import (CO, COUNTER, ConfigError, DecayNetwork, ModelError,
-                        SolverError, VelocityGrid, build_hamiltonian,
+                        OpticalResponse, SolverError, VelocityGrid,
+                        build_hamiltonian,
                         doppler_shifts, load_preset, read_sweep_csv,
                         response_from_density, scenario_from_config,
                         steady_state, sweep, thermal_rms_velocity, vectorize,
@@ -249,10 +250,10 @@ def test_failing_node_alone_takes_the_dense_path(preset, geometry,
     bad = 3
     expanded = liouville._expanded_states
 
-    def fail_one_node(ex, shift, v):
-        nodes = expanded(ex, shift, v)
-        nodes.ok[bad] = False
-        return nodes
+    def fail_one_node(ex, shift, v, w):
+        v = v.copy()
+        v[bad] = np.nan         # a non-finite column fails every check
+        return expanded(ex, shift, v, w)
     dense_cells = []
     dense = liouville.steady_state
 
@@ -836,6 +837,18 @@ def test_csv_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("delta,phi\n0,1\n")
     with pytest.raises(ModelError):
+        read_sweep_csv(str(path))
+
+
+def test_csv_rejects_unexpected_columns(tmp_path):
+    """A sweep CSV whose column header is not this version's is refused."""
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), np.array([0.0]),
+                    [OpticalResponse(0.1, 0.2, 0.3, 0.4)])
+    magic, header, row = path.read_text().splitlines()
+    header = header.replace("phi_plus", "phi_p")
+    path.write_text(f"{magic}\n{header}\n{row}\n")
+    with pytest.raises(ModelError, match="unexpected sweep CSV columns"):
         read_sweep_csv(str(path))
 
 

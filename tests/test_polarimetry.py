@@ -1,7 +1,8 @@
-"""Jones calculus, detector model, LCR scans, inversion, and the rotated
-pump-basis polarization algebra."""
+"""Jones calculus, detector model, LCR scans, inversion, and the ideal
+probe polarization state."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ def test_lcr_calibration_rejects_non_monotone():
         LcrCalibration((0.0, 1.0, 0.5), (3.0, 2.0, 1.0))
 
 
+@pytest.mark.parametrize("voltages, thetas, message", [
+    ((0.0, 1.0, 2.0), (3.0, 2.0), "matching"),
+    ((0.0,), (3.0,), "matching"),
+    ((0.0, math.nan, 2.0), (3.0, 2.0, 1.0), "finite"),
+    ((0.0, 1.0, 2.0), (3.0, 2.0, math.inf), "finite"),
+])
+def test_lcr_calibration_rejects_bad_arrays(voltages, thetas, message):
+    with pytest.raises(ModelError, match=message):
+        LcrCalibration(voltages, thetas)
+
+
 def test_lcr_scan_validation():
     with pytest.raises(ModelError):
         LcrScan((0.0, 1.0), (1.0,))
@@ -270,6 +282,32 @@ def test_inversion_needs_three_samples():
         invert_scan((0.1, 0.2), (0.3, 0.4), 1.0, 0.0)
 
 
+def test_lsq_inversion_needs_three_samples():
+    scan = LcrScan(THETAS[:2], (0.3, 0.4))
+    with pytest.raises(InversionError, match=">= 3 samples"):
+        invert_scan_lsq(scan, 1.0, 0.0)
+
+
+# The detector model at THETAS with scale K = 1, exp(-2 alpha_d) = 0.25 and
+# exp(-alpha_d) cos(phi_d) = 0.9, so |cos(phi_d)| = 1.8; and samples whose
+# fitted scale is zero (the one at 90 deg is 2 K).
+COS_ABOVE_ONE = tuple(1.0 + math.sin(t) + 0.25 * (1.0 - math.sin(t))
+                      - 1.8 * math.cos(t) for t in THETAS)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ((0.3, 0.0, 0.3), r"fitted scale \S+ <= 0"),
+    (COS_ABOVE_ONE, re.escape("|cos(phi_d)| = 1.800000 > 1")),
+], ids=["scale", "cos"])
+def test_inversion_names_the_inconsistent_parameter(samples, message):
+    """Samples the model fits only with a scale <= 0, or with
+    |cos(phi_d)| > 1, are refused and the message names which."""
+    with pytest.raises(InversionError, match=message):
+        invert_scan(THETAS, samples, 1.0, 0.0)
+    with pytest.raises(InversionError, match=message):
+        invert_scan_lsq(LcrScan(THETAS, samples), 1.0, 0.0)
+
+
 def test_lsq_inversion_matches_three_point_on_dense_scan():
     ad, pd, e0, am = 0.35, 1.3, 1.4, 0.15
     r = OpticalResponse(pd, 0.0, am + ad, am)
@@ -365,39 +403,13 @@ def test_conditioning_threshold_matches_svd(n, start):
 
 
 # ---------------------------------------------------------------------------
-# Rotated basis / ideal probe state
+# Ideal probe state
 # ---------------------------------------------------------------------------
 
-def test_rotated_basis_pure_sigma_plus():
-    from vaporplate import rotated_basis
-    plus, minus = rotated_basis(1.0, 0.0)
-    assert plus == (1.0, 0.0)
-    assert minus == (0.0, 1.0)
-
-
-def test_rotated_basis_orthonormal_and_dark():
-    from vaporplate import rotated_basis
-    rng = np.random.default_rng(10)
-    for _ in range(200):
-        v = rng.normal(size=4)
-        a = (v[0] + 1j * v[1])
-        b = (v[2] + 1j * v[3])
-        n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a, b = a / n, b / n
-        plus, minus = rotated_basis(a, b)
-        pv, mv = np.array(plus), np.array(minus)
-        assert abs(np.vdot(pv, mv)) < 1e-14
-        assert np.linalg.norm(pv) == pytest.approx(1.0, abs=1e-12)
-        # pump interaction couples |1> only to |+>: the projection of the
-        # coupling vector (alpha, beta)* on |-> vanishes
-        coupling = np.array([np.conjugate(a), np.conjugate(b)])
-        assert abs(np.vdot(mv, coupling)) < 1e-13
-
-
 def test_rotated_basis_rejects_unnormalized():
-    from vaporplate import rotated_basis
-    with pytest.raises(ModelError):
-        rotated_basis(1.0, 1.0)
+    """The ideal probe state takes a normalized pump polarization only."""
+    with pytest.raises(ModelError, match="not normalized"):
+        ideal_probe_state(1.0, 1.0, 0.0)
 
 
 def test_ideal_probe_state_no_phase_returns_y():

@@ -228,6 +228,21 @@ def test_lumped_level_address_must_not_carry_mf(base_cfg):
         scenario_from_config(cfg)
 
 
+def test_lumped_level_address_is_its_label(base_cfg):
+    """An explicit channel from a lumped manifold, addressed by its bare
+    label, to a resolved sublevel lands on those two slots."""
+    cfg = copy.deepcopy(base_cfg)
+    cfg["scheme"]["manifolds"].append(
+        {"label": "L", "tier": 1, "f_values": [1], "lumped": True})
+    cfg["decay"]["explicit_channels"].append(
+        {"from": "L", "to": "G:0", "rate": 0.1})
+    scn = scenario_from_config(cfg)
+    index = scn.scheme.index
+    src = index[SublevelId("L", lumped=True)]
+    assert dict(scn.network.channels)[src] == \
+        ((index[SublevelId("G", f=2, mf=0)], 0.1),)
+
+
 def test_resolved_level_address_needs_mf(base_cfg):
     cfg = copy.deepcopy(base_cfg)
     cfg["decay"]["explicit_channels"][0]["from"] = "E"
