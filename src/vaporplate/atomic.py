@@ -14,12 +14,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ModelError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ class Manifold:
         if not self.lumped and len(self.f_values) != 1:
             raise ModelError(f"{name}: a resolved manifold has exactly one "
                              f"F, got {self.f_values!r}")
-        if not np.isfinite(self.offset):
+        if not math.isfinite(self.offset):
             raise ModelError(f"{name}: offset must be finite, "
                              f"got {self.offset!r}")
 
@@ -206,10 +208,11 @@ class DecayParams:
     d1_d2_ratio: float = 0.5
 
     def __post_init__(self):
-        if not all(0 <= x < np.inf for x in (self.gamma_a, self.gamma_b,
-                                              self.gamma_g, self.d1_d2_ratio)):
-            raise ModelError("decay rates and branching ratios must be "
-                             "finite and >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 <= value < math.inf:
+                raise ModelError("decay rates and branching ratios must be "
+                                 f"finite and >= 0: {f.name} = {value}")
         if not (self.gamma_g < self.gamma_b < self.gamma_a or self.gamma_b == 0):
             warnings.warn(
                 "decay rates outside the usual regime gamma_g << gamma_b < gamma_a",
@@ -246,6 +249,7 @@ class LevelScheme:
     @classmethod
     def build(cls, manifolds, decay: DecayParams,
               nuclear_spin: float = 1.5) -> "LevelScheme":
+        import numpy as np
         levels: list[SublevelId] = []
         offsets: list[float] = []
         tiers: list[int] = []
@@ -288,7 +292,7 @@ class TransitionEntry:
     field: str                  # "pump" or "signal"
 
     def __post_init__(self):
-        if not np.isfinite(self.strength):
+        if not math.isfinite(self.strength):
             raise ModelError(f"strength of {self.upper} <- {self.lower} "
                              f"must be finite, got {self.strength!r}")
         if not self.upper.lumped and not self.lower.lumped:
@@ -393,6 +397,27 @@ def decay_distribution(level: SublevelId, scheme: LevelScheme,
     return [(slot, w / total * total_rate) for slot, w in weights.items()]
 
 
+def check_branching(fractions, n_rows: int, n_cols: int) -> None:
+    """Raise ModelError unless fractions, n_rows rows of n_cols numbers as
+    nested lists or tuples, is column-stochastic: each value in [0, 1] and
+    each column summing to 1 within 2e-3.  Pure Python, so the shipped
+    table is checked without numpy."""
+    def has_length(x, n):
+        return isinstance(x, (list, tuple)) and len(x) == n
+    if not has_length(fractions, n_rows) or not all(
+            has_length(row, n_cols)
+            and all(isinstance(v, (int, float)) for v in row)
+            for row in fractions):
+        raise ModelError("branching table shape does not match labels")
+    if not all(0.0 <= v <= 1.0 for row in fractions for v in row):
+        raise ModelError("branching fractions must lie in [0, 1]")
+    worst = max((abs(sum(col) - 1.0) for col in zip(*fractions)),
+                default=0.0)
+    if worst > 2e-3:
+        raise ModelError(f"branching columns must sum to 1 "
+                         f"(worst deviation {worst:.2e})")
+
+
 @dataclass(frozen=True)
 class BranchingTable:
     """Column-stochastic branching fractions: column = decaying upper level,
@@ -403,15 +428,9 @@ class BranchingTable:
     fractions: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         fr = np.asarray(self.fractions, dtype=float)
-        if fr.shape != (len(self.rows), len(self.cols)):
-            raise ModelError("branching table shape does not match labels")
-        if np.any(fr < 0.0) or np.any(fr > 1.0):
-            raise ModelError("branching fractions must lie in [0, 1]")
-        sums = fr.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > 2e-3):
-            raise ModelError(f"branching columns must sum to 1 "
-                             f"(worst deviation {np.max(np.abs(sums - 1.0)):.2e})")
+        check_branching(fr.tolist(), len(self.rows), len(self.cols))
         object.__setattr__(self, "fractions", fr)
 
     def column(self, col: SublevelId) -> np.ndarray:
@@ -422,24 +441,24 @@ class BranchingTable:
 # Shipped effective-branching data (6S -> 5S, via 5P3/2)
 # ---------------------------------------------------------------------------
 
-# Columns: 6S1/2 F''=2 mF=-2..2, then F''=1 mF=-1..1.
 # Rows: 5S1/2 F=2 mF=-2..2, then F=1 mF=-1..1.
-_TABLE1 = [
-    [0.68852, 0.19426, 0.05055, 0.0, 0.0, 0.2361, 0.09722, 0.0],
-    [0.19426, 0.47296, 0.190277, 0.07583, 0.0, 0.1667, 0.11805, 0.04861],
-    [0.05055, 0.190277, 0.45166, 0.190277, 0.05055, 0.104167, 0.125, 0.104167],
-    [0.0, 0.07583, 0.190277, 0.47296, 0.19426, 0.04861, 0.11805, 0.1667],
-    [0.0, 0.0, 0.05055, 0.19426, 0.68852, 0.0, 0.09722, 0.2361],
-    [0.04722, 0.03333, 0.02083, 0.009722, 0.0, 0.21296, 0.1226875, 0.1088],
-    [0.01944, 0.023611, 0.025, 0.023611, 0.01944, 0.1226875, 0.199, 0.1226875],
-    [0.0, 0.009722, 0.02083, 0.03333, 0.04722, 0.1088, 0.1226875, 0.21296],
-]
+TABLE1_ROWS = tuple(SublevelId("5S1/2", f=2, mf=m) for m in range(-2, 3)) + \
+    tuple(SublevelId("5S1/2", f=1, mf=m) for m in range(-1, 2))
+# Columns: 6S1/2 F''=2 mF=-2..2, then F''=1 mF=-1..1.
+TABLE1_COLS = tuple(SublevelId("6S1/2", f=2, mf=m) for m in range(-2, 3)) + \
+    tuple(SublevelId("6S1/2", f=1, mf=m) for m in range(-1, 2))
+TABLE1 = (
+    (0.68852, 0.19426, 0.05055, 0.0, 0.0, 0.2361, 0.09722, 0.0),
+    (0.19426, 0.47296, 0.190277, 0.07583, 0.0, 0.1667, 0.11805, 0.04861),
+    (0.05055, 0.190277, 0.45166, 0.190277, 0.05055, 0.104167, 0.125, 0.104167),
+    (0.0, 0.07583, 0.190277, 0.47296, 0.19426, 0.04861, 0.11805, 0.1667),
+    (0.0, 0.0, 0.05055, 0.19426, 0.68852, 0.0, 0.09722, 0.2361),
+    (0.04722, 0.03333, 0.02083, 0.009722, 0.0, 0.21296, 0.1226875, 0.1088),
+    (0.01944, 0.023611, 0.025, 0.023611, 0.01944, 0.1226875, 0.199, 0.1226875),
+    (0.0, 0.009722, 0.02083, 0.03333, 0.04722, 0.1088, 0.1226875, 0.21296),
+)
 
 
 def load_table1() -> BranchingTable:
     """Shipped effective 6S1/2 -> 5S1/2 branching fractions (via 5P3/2)."""
-    rows = tuple(SublevelId("5S1/2", f=2, mf=m) for m in range(-2, 3)) + \
-        tuple(SublevelId("5S1/2", f=1, mf=m) for m in range(-1, 2))
-    cols = tuple(SublevelId("6S1/2", f=2, mf=m) for m in range(-2, 3)) + \
-        tuple(SublevelId("6S1/2", f=1, mf=m) for m in range(-1, 2))
-    return BranchingTable(rows, cols, np.array(_TABLE1, dtype=float))
+    return BranchingTable(TABLE1_ROWS, TABLE1_COLS, TABLE1)

@@ -4,7 +4,8 @@ Angles cross this boundary in degrees; everything internal is radians.
 Exit codes: 0 success, 1 validation or physics error, 2 I/O error.
 
 Each command imports the modules it runs, so a process loads only those:
-`invert` needs neither numpy nor the model.
+`invert` needs neither numpy nor the model, and `export-table1` prints the
+shipped branching table, checked, without numpy.
 """
 
 from __future__ import annotations
@@ -192,18 +193,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export_table1(args) -> int:
-    from .atomic import load_table1
-    table = load_table1()
+    from .atomic import TABLE1, TABLE1_COLS, TABLE1_ROWS, check_branching
+    check_branching(TABLE1, len(TABLE1_ROWS), len(TABLE1_COLS))
     def label(lev):
         # level labels contain commas; keep the CSV single-delimiter
         return str(lev).replace(",", " ")
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:
-        out.write("ground," + ",".join(label(c) for c in table.cols) + "\n")
-        for r, row in enumerate(table.rows):
+        out.write("ground," + ",".join(label(c) for c in TABLE1_COLS) + "\n")
+        for row, values in zip(TABLE1_ROWS, TABLE1):
             out.write(label(row) + "," +
-                      ",".join("%.6g" % v for v in table.fractions[r]) + "\n")
+                      ",".join("%.12g" % v for v in values) + "\n")
     finally:
         if args.out:
             out.close()

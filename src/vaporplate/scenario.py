@@ -62,9 +62,18 @@ def _get(node, key, context, parse=None, default=_REQUIRED):
     return value if parse is None else parse(value, context=path)
 
 
+def _list(values, context) -> tuple:
+    """A YAML list as a tuple.  Any other value (a string, a number, null)
+    is a ConfigError naming context, not something to iterate."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{context}: expected a list, got {values!r}")
+    return tuple(values)
+
+
 def _each(parse):
     """A parse for a list: parse applied to each item, as a tuple."""
-    return lambda values, context: tuple(parse(x, context) for x in values)
+    return lambda values, context: tuple(parse(x, context)
+                                         for x in _list(values, context))
 
 
 def _number(value, context) -> float:
@@ -75,6 +84,12 @@ def _number(value, context) -> float:
     except (TypeError, ValueError):
         raise ConfigError(f"{context}: expected a number, got {value!r}") \
             from None
+
+
+def _label(value, context) -> str:
+    """A manifold label as text; one that names no manifold is refused
+    where it is looked up."""
+    return str(value)
 
 
 def _positive(value, context) -> float:
@@ -267,7 +282,7 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
     _check_keys(node, {"nuclear_spin", "manifolds"}, "scheme")
     freq = partial(_freq, gamma_a_mhz=gamma_a_mhz)
     manifolds = []
-    for k, m in enumerate(node.get("manifolds", [])):
+    for k, m in enumerate(_get(node, "manifolds", "scheme", _list, [])):
         ctx = f"scheme.manifolds[{k}]"
         _check_keys(m, {"label", "tier", "j", "f", "f_values", "offset",
                         "lumped", "mf_values", "decays_to"}, ctx)
@@ -281,7 +296,7 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
         else:
             raise ConfigError(f"{ctx}: f (or f_values) is required")
         manifolds.append(Manifold(
-            label=str(_get(m, "label", ctx)),
+            label=_get(m, "label", ctx, _label),
             tier=_get(m, "tier", ctx, _integer),
             j=_get(m, "j", ctx, _number, 0.5),
             f_values=f_values,
@@ -289,7 +304,7 @@ def _build_scheme(node, decay_node, gamma_a_mhz) -> LevelScheme:
             lumped=lumped,
             mf_values=None if m.get("mf_values") is None
             else _get(m, "mf_values", ctx, _each(_integer)),
-            decays_to=tuple(m.get("decays_to", ())),
+            decays_to=_get(m, "decays_to", ctx, _each(_label), []),
         ))
     _check_keys(decay_node, _DECAY_KEYS, "decay")
     params = DecayParams(
@@ -341,7 +356,7 @@ def _build_transitions(node, scheme: LevelScheme) -> TransitionTable:
     if mode != "explicit":
         raise ConfigError(f"transitions.mode must be derived or explicit")
     entries = []
-    for k, e in enumerate(node.get("entries", [])):
+    for k, e in enumerate(_get(node, "entries", "transitions", _list, [])):
         ctx = f"transitions.entries[{k}]"
         _check_keys(e, {"field", "upper", "lower", "q", "strength"}, ctx)
         entries.append(TransitionEntry(
@@ -363,7 +378,8 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
             chans.setdefault(src, []).append((tgt, rate))
 
     if "explicit_channels" in node:
-        for k, c in enumerate(node["explicit_channels"]):
+        for k, c in enumerate(_get(node, "explicit_channels", "decay",
+                                   _list)):
             ctx = f"decay.explicit_channels[{k}]"
             _check_keys(c, {"from", "to", "rate"}, ctx)
             src = scheme.index[_parse_level(scheme, _get(c, "from", ctx), ctx)]
@@ -375,7 +391,7 @@ def _build_network(node, scheme: LevelScheme, gamma_a_mhz) -> DecayNetwork:
         if path not in ("reservoir", "effective"):
             raise ConfigError("decay.six_s_decay_path must be "
                               "reservoir or effective")
-        res_label = node.get("reservoir", "R")
+        res_label = _get(node, "reservoir", "decay", _label, "R")
         res = SublevelId(res_label, lumped=True)
         uppers = []         # the tier-2 levels, whose D2 decay feeds res
         for k, lev in enumerate(scheme.levels):

@@ -318,12 +318,15 @@ def test_table1_mf_reflection_symmetry():
 def test_branching_table_validation():
     rows = (SublevelId("A", f=1, mf=0),)
     cols = (SublevelId("B", f=1, mf=0),)
-    with pytest.raises(ModelError):
-        BranchingTable(rows, cols, np.array([[0.5]]))   # column sum != 1
-    with pytest.raises(ModelError):
-        BranchingTable(rows, cols, np.array([[1.5]]))   # out of [0, 1]
-    with pytest.raises(ModelError):
-        BranchingTable(rows, cols, np.array([[1.0, 0.0]]))  # bad shape
+    with pytest.raises(ModelError, match=r"must sum to 1 \(worst deviation "
+                                         r"5\.00e-01\)"):
+        BranchingTable(rows, cols, np.array([[0.5]]))
+    for bad in (1.5, -0.5, np.nan):
+        with pytest.raises(ModelError, match=r"must lie in \[0, 1\]"):
+            BranchingTable(rows, cols, np.array([[bad]]))
+    for shape in ((1, 2), (2, 1), (1,), (), (1, 1, 1)):
+        with pytest.raises(ModelError, match="shape does not match labels"):
+            BranchingTable(rows, cols, np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +383,15 @@ def test_scheme_rejects_bad_nuclear_spin_and_decay_targets():
 
 
 def test_decay_params_reject_non_finite_rates():
-    for bad in (dict(gamma_b=float("nan")), dict(gamma_a=float("inf")),
-                dict(d1_d2_ratio=float("nan")), dict(gamma_g=-1.0)):
-        with pytest.raises(ModelError, match="finite"):
-            DecayParams(**bad)
+    """A non-finite or negative rate or ratio is refused by name."""
+    for name in ("gamma_a", "gamma_b", "gamma_g", "d1_d2_ratio"):
+        for bad, shown in ((float("nan"), "nan"), (float("inf"), "inf"),
+                           (-1.0, "-1.0")):
+            with pytest.raises(ModelError) as exc:
+                DecayParams(**{name: bad})
+            assert str(exc.value) == (
+                "decay rates and branching ratios must be finite and >= 0: "
+                f"{name} = {shown}")
 
 
 def test_decay_params_warns_outside_usual_regime():

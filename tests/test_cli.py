@@ -15,7 +15,8 @@ import yaml
 import vaporplate
 from vaporplate import (COUNTER, OpticalResponse, VelocityGrid,
                         build_hamiltonian, detector_intensity,
-                        doppler_shifts, load_preset, read_sweep_csv,
+                        doppler_shifts, load_preset, load_table1,
+                        read_sweep_csv,
                         response_from_density, scenario_from_config,
                         steady_state, sweep, synthesize_scan, vectorize)
 from vaporplate.cli import main
@@ -179,6 +180,30 @@ def test_invert_process_loads_no_numpy(tmp_path):
                                                           abs=1e-6)
 
 
+def test_export_table1_process_loads_no_numpy():
+    """`vaporplate export-table1` run as a program prints the shipped table
+    without loading numpy."""
+    out = fresh_python(
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('vaporplate.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules)",
+        "export-table1")
+    lines = out.splitlines()
+    assert lines[-1] == "numpy loaded: False"
+    assert lines[0].startswith("ground,6S1/2(F=2 mF=-2)")
+    assert len(lines) == 10
+
+
+def test_atomic_import_loads_no_numpy():
+    """numpy is imported by the code in `atomic` that builds arrays, not by
+    the import."""
+    out = fresh_python("import sys, vaporplate.atomic; "
+                       "print('numpy' in sys.modules)")
+    assert out.strip() == "False"
+
+
 def test_lcr_scan_output(capsys):
     code, out, _ = run(capsys, "lcr", "--preset", "fig1-ideal",
                        "--signal-detuning", "-50",
@@ -279,13 +304,18 @@ def test_invert_least_squares_path(tmp_path, capsys):
 
 
 def test_export_branching_table(tmp_path, capsys):
-    out_csv = str(tmp_path / "branching.csv")
-    code, _, _ = run(capsys, "export-table1", "--out", out_csv)
+    """The exported CSV reads back to the shipped fractions exactly, and
+    --out writes the bytes the command prints."""
+    out_csv = tmp_path / "branching.csv"
+    code, _, _ = run(capsys, "export-table1", "--out", str(out_csv))
     assert code == 0
-    lines = Path(out_csv).read_text().splitlines()
+    text = out_csv.read_text()
+    lines = text.splitlines()
     assert len(lines) == 9          # header + 8 ground rows
-    first = lines[1].split(",")
-    assert len(first) == 9          # label + 8 columns
+    values = [[float(x) for x in line.split(",")[1:]] for line in lines[1:]]
+    assert values == load_table1().fractions.tolist()
+    code, stdout, _ = run(capsys, "export-table1")
+    assert code == 0 and stdout == text
 
 
 def test_config_error_exits_one(tmp_path, capsys):
@@ -602,3 +632,40 @@ def test_solve_velocity_prints_the_dense_solve_at_its_shifts(tmp_path,
     if "pump" in scn.fields:
         code, at_rest, _ = run(capsys, "solve", "--scenario", path)
         assert code == 0 and at_rest != out
+_LIST_KEYS = [
+    ("fig7-reduced15", ("scheme", "manifolds", 0, "mf_values"),
+     "scheme.manifolds[0].mf_values"),
+    ("fig7-full", ("scheme", "manifolds", 5, "f_values"),
+     "scheme.manifolds[5].f_values"),
+    ("fig7-full", ("scheme", "manifolds", 2, "decays_to"),
+     "scheme.manifolds[2].decays_to"),
+    ("fig7-full", ("scheme", "manifolds"), "scheme.manifolds"),
+    ("fig1-ideal", ("transitions", "entries"), "transitions.entries"),
+    ("fig1-ideal", ("decay", "explicit_channels"), "decay.explicit_channels"),
+    ("fig1-ideal", ("analyzer", "lcr_calibration", "voltages"),
+     "analyzer.lcr_calibration.voltages"),
+    ("fig1-ideal", ("analyzer", "lcr_calibration", "thetas"),
+     "analyzer.lcr_calibration.thetas"),
+]
+
+
+@pytest.mark.parametrize("preset, keys, path", _LIST_KEYS,
+                         ids=[path for *_, path in _LIST_KEYS])
+@pytest.mark.parametrize("value", [3, "11", "0", None],
+                         ids=["int", "string-11", "string-0", "null"])
+def test_list_key_given_a_non_list_is_named(tmp_path, capsys, preset, keys,
+                                            path, value):
+    """A list-valued key holding a scalar, a string or null is one error
+    line naming its path; a string is not read character by character.
+    mf_values: null keeps its meaning, every mF of the manifold."""
+    def edit(cfg):
+        cfg["analyzer"] = {"lcr_calibration": {"voltages": [0.0, 4.0],
+                                               "thetas": [2.0, 0.0]}}
+        _set(*keys, value)(cfg)
+    code, out, err = run(capsys, "validate", "--scenario",
+                         _preset_copy(tmp_path, preset, edit))
+    if value is None and keys[-1] == "mf_values":
+        assert code == 0 and "levels: 17 " in out
+        return
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: expected a list, got {value!r}\n"
