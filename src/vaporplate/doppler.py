@@ -103,7 +103,8 @@ class VelocityGrid:
     @classmethod
     def delta(cls, temperature: float = 403.0, mass_amu: float = 86.909
               ) -> "VelocityGrid":
-        """Single stationary atom; degenerate grid for tests and quick looks."""
+        """Single stationary atom: no Doppler average.  The fig1-ideal and
+        fig8-qwp presets sweep on it."""
         return cls((0.0,), (1.0,), temperature, mass_amu, span=0.0,
                    kind="delta")
 
@@ -145,7 +146,8 @@ class SweepSpec:
             raise ModelError("a sweep needs at least one detuning")
         if not np.all(np.isfinite(d)):
             raise ModelError("detunings are not finite")
-        if d.size > 1 and not (np.all(np.diff(d) > 0) or np.all(np.diff(d) < 0)):
+        # comparing neighbours, not their differences, which overflow
+        if not (np.all(d[1:] > d[:-1]) or np.all(d[1:] < d[:-1])):
             raise ModelError("detuning list must be strictly monotone")
         object.__setattr__(self, "detunings", d)
         if self.geometry not in (COUNTER, CO):
@@ -203,8 +205,8 @@ def _fingerprint(spec: SweepSpec, generator_key: tuple) -> str:
     bytes, not by the grid's repr, which costs about 1 ms on 200 numpy
     floats.  The generator enters by its _generator key (the Hamiltonian
     at rest, the levels, the tiers and the decay network), which it is
-    built from and which is a few kB, not the generator itself (1 MB for
-    fig7-full)."""
+    built from and which is a few kB, not the generator itself (215 kB
+    for fig7-full)."""
     import hashlib      # here, not at the top: it slows CLI start-up
     h_bytes, *structure = generator_key
     grid = spec.grid

@@ -2,19 +2,20 @@
 and steady-state / time-domain solvers.
 
 The density matrix is vectorized over an index set that keeps every
-population slot but only coherences between non-lumped levels; coherences
-involving lumped reservoirs are never driven and are excluded exactly.
-The generator is homogeneous (d vec/dt = M vec, s = 0); the trace is
-imposed at solve time.  This module is the only one that knows the
-coordinate layout: `vectorize` records the index arrays and how each
-diagonal entry of M moves with extra pump and signal detuning.
-`vectorize` builds -i[H, .] directly on the retained coordinates.
+population slot and, of the coherences between non-lumped levels, those
+a population reaches through the generator's couplings.  Both reductions
+are exact: coherences involving lumped reservoirs are never driven, and
+the Zeeman selection rules leave the other coherences left out in
+strictly damped blocks whose steady state is zero (116 of fig7-full's 258
+coordinates are kept).  The generator is homogeneous (d vec/dt = M vec,
+s = 0); the trace is imposed at solve time.  This module is the only one
+that knows the coordinate layout: `vectorize` records the index arrays
+and how each diagonal entry of M moves with extra pump and signal
+detuning.  `vectorize` builds -i[H, .] on the non-lumped coordinates
+directly, then restricts it to those a population reaches.
 `steady_state` is the dense per-cell solve and the oracle;
 `steady_states` averages steady states over a grid of velocity nodes at
-one signal detuning.  It solves only the driven coordinates,
-those a population reaches through the generator's couplings (the Zeeman
-selection rules leave the rest in coherence-only blocks whose steady
-state is exactly zero), in real form: populations and the real and
+one signal detuning, in real form: populations and the real and
 imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
 leaves fixed (F) are eliminated once per generator and geometry (a sweep
@@ -156,7 +157,9 @@ def build_hamiltonian(scheme: LevelScheme, transitions: TransitionTable,
 @dataclass(frozen=True)
 class Liouvillian:
     """Linear generator d vec(rho)/dt = m @ vec(rho) + s over the retained
-    coordinate set.
+    coordinate set (vectorize): every population and the coherences a
+    population reaches; every other entry of rho is zero in every steady
+    state.
 
     s is zero: the trace is imposed when solving.  rows/cols index rho for
     each coordinate, populations lists the diagonal coordinates,
@@ -198,36 +201,8 @@ class Liouvillian:
         return self._kept[1]
 
 
-def _driven(liou: Liouvillian) -> np.ndarray:
-    """Mask of the coordinates a population reaches through nonzero entries
-    of M, in either direction; every coordinate if one outside that set is
-    not strictly damped.
-
-    The other coordinates are coherences in blocks that no driven row or
-    column touches.  On such a block M is the anti-Hermitian -i[H, .] part
-    plus the real diagonal -(Gamma_i + Gamma_j)/2, and every shift adds an
-    imaginary diagonal entry, so with that diagonal strictly negative the
-    block is nonsingular at every cell.  Its right-hand side is zero (the
-    trace row is a population's), and so is its part of the steady state.
-    The set holds (j, i) with each (i, j): in either direction, -i[H, .]
-    links (i, j) with (i', j) where h[i, i'] or h[i', i] is nonzero, and
-    (j, i) with (j, i') under the same condition, and the decay network
-    links populations only."""
-    link = liou.m != 0
-    link |= link.T
-    driven = np.zeros(len(link), dtype=bool)
-    driven[liou.populations] = True
-    while True:
-        grown = driven | np.any(link[:, driven], axis=1)
-        if np.array_equal(grown, driven):
-            break
-        driven = grown
-    damped = np.diagonal(liou.m).real < 0
-    return driven if np.all(damped[~driven]) else np.ones_like(driven)
-
-
 class _Expansion(NamedTuple):
-    """A generator's driven coordinates in real form, F before S, with F
+    """A generator's coordinates in real form, F before S, with F
     eliminated (_build_expansion).  Real coordinate r is a population or
     the real or imaginary part of a coherence (i, j), i < j; partner[r] is
     the other part of that coherence (r itself for a population), and a
@@ -252,17 +227,27 @@ class _Expansion(NamedTuple):
     coef_v: np.ndarray      # D_v, per unit velocity
     coef_s: np.ndarray      # D_signal
     populations: np.ndarray
-    t: np.ndarray           # real coordinates -> complex driven ones
-    rows: np.ndarray        # where each complex driven coordinate sits in rho
-    cols: np.ndarray
+    t: np.ndarray           # real coordinates -> the generator's complex ones
 
 
 def vectorize(h: np.ndarray, scheme: LevelScheme,
               network: DecayNetwork) -> Liouvillian:
     """Vectorize -i[H, rho] plus the decay network into a linear system.
 
-    Keeps every population and the coherences between non-lumped levels,
-    in row-major order; s = 0 and the trace is imposed when solving.
+    Builds M on every population and the coherences between non-lumped
+    levels, in row-major order, then keeps the coordinates a population
+    reaches through nonzero entries of M, in either direction, or every
+    one if one outside that set is not strictly damped.  The others are
+    coherences in blocks that no kept row or column touches.  On such a
+    block M is the anti-Hermitian -i[H, .] part plus the real diagonal
+    -(Gamma_i + Gamma_j)/2, and every shift adds an imaginary diagonal
+    entry, so with that diagonal strictly negative the block is
+    nonsingular at every cell.  Its right-hand side is zero (the trace row
+    is a population's), and so is its part of every steady state.  The
+    kept set holds (j, i) with each (i, j): in either direction, -i[H, .]
+    links (i, j) with (i', j) where h[i, i'] or h[i', i] is nonzero, and
+    (j, i) with (j, i') under the same condition, and the decay network
+    links populations only.  s = 0 and the trace is imposed when solving.
     """
     n = scheme.n_levels
     if h.shape != (n, n):
@@ -293,6 +278,20 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
     for src, chans in network.channels:
         for tgt, rate in chans:
             m[slot[tgt, tgt], slot[src, src]] += rate
+    # restricted here rather than built on the kept coordinates: freeing
+    # the full-size M raises glibc's malloc thresholds above the velocity
+    # kernel's temporaries, which are then reused, not mapped afresh on
+    # every call (tests/test_cli.py counts the page faults)
+    link = m != 0
+    link |= link.T
+    kept = rows == cols
+    while True:
+        grown = kept | np.any(link[:, kept], axis=1)
+        if np.array_equal(grown, kept):
+            break
+        kept = grown
+    if np.all(np.diagonal(m).real[~kept] < 0):
+        m, rows, cols = m[np.ix_(kept, kept)], rows[kept], cols[kept]
 
     pump_levels, signal_levels = _detuned_levels(scheme)
     liou = Liouvillian(
@@ -316,7 +315,18 @@ def _check_trace_preservation(liou: Liouvillian) -> None:
 def _trace_imposed(liou: Liouvillian, pump_shift: float,
                    signal_shift: float):
     """The shifted generator with its last population row replaced by the
-    trace constraint, that row as it was, and the right-hand side."""
+    trace constraint, that row as it was, and the right-hand side.
+
+    A population whose row and column of M are zero, beside another
+    population, is a second null direction, which the trace row does not
+    remove and an LU need not find: SolverError names its slot."""
+    pop = liou.populations
+    isolated = ~(np.any(liou.m[pop], axis=1) | np.any(liou.m[:, pop], axis=0))
+    if len(pop) > 1 and np.any(isolated):
+        raise SolverError(
+            f"non-unique steady state: the population of slot "
+            f"{liou.rows[pop[isolated][0]]} has no decay channel in or out "
+            f"and no coupling")
     a = liou.m.copy()
     diag = np.arange(len(a))
     a[diag, diag] += liou.d_pump * pump_shift + liou.d_signal * signal_shift
@@ -366,12 +376,10 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     signal_shift + doppler[1] * v_b), v_b = velocities[b], to rounding;
     doppler is the (pump, signal) detuning shift per unit velocity.
 
-    Only the driven coordinates are solved for (_driven): the others are
-    damped coherences that no driven coordinate couples to, so their part
-    of every cell is zero and is left zero.  On the driven coordinates the
-    kernel works in real form (_build_expansion): populations and the real
-    and imaginary parts of each coherence (i, j), i < j, so every density
-    it returns is Hermitian by construction.  Velocity enters the
+    The kernel works in real form (_build_expansion): populations and the
+    real and imaginary parts of each coherence (i, j), i < j, so every
+    density it returns is Hermitian by construction; the entries of rho
+    the generator leaves out (vectorize) are zero.  Velocity enters the
     generator only as v * D_v.  F, the coordinates D_v leaves fixed, is
     eliminated once per generator and Doppler rates with the trace row
     imposed (Liouvillian._expansion, and doppler.sweep keeps its generator,
@@ -381,7 +389,7 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     D_signal) = W B W^-1, in LAPACK's real eigenvector columns W (B block
     diagonal), gives every node at once, x_S(v) = W (B + v)^-1 W^-1
     Delta^-1 c, and x_F = y - Z x_S (_expanded_states).  On fig7-full
-    (counter-propagating) F and S hold 48 and 68 of the 116 driven real
+    (counter-propagating) F and S hold 48 and 68 of the 116 real
     coordinates.
 
     Each node is solved once, and its product A x, formed once, gives both
@@ -412,7 +420,7 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
         except np.linalg.LinAlgError:
             pass
         else:
-            out[ex.rows, ex.cols] = ex.t @ x
+            out[liou.rows, liou.cols] = ex.t @ x
     for b in np.flatnonzero(~ok):
         try:
             rho = steady_state(liou, doppler[0] * v[b],
@@ -437,33 +445,30 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     and S: Z = A_FF^-1 A_FS, y = A_FF^-1 b_F, S0 = A_SS - A_SF Z and c =
     b_S - A_SF y.
 
-    None, and every cell goes to steady_state, if the driven block at rest
+    None, and every cell goes to steady_state, if the generator at rest
     has no unique steady state (the dense LU finds the exact zero pivot of
     such a generator, which an elimination hides), if A_FF is singular, or
     if a coordinate of F has d_signal != 0."""
-    driven = np.flatnonzero(_driven(liou))
     a, saved_row, b = _trace_imposed(liou, 0.0, 0.0)
-    a, saved_row = a[np.ix_(driven, driven)], saved_row[driven]
     try:
-        np.linalg.solve(a, b[driven])
+        np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
 
     # one real coordinate per population and two per coherence (i, j),
-    # i < j, at driven positions p (of (i, j)) and q (of (j, i)); the
-    # driven set holds each coordinate's transpose (_driven)
-    rows, cols = liou.rows[driven], liou.cols[driven]
+    # i < j, at positions p (of (i, j)) and q (of (j, i)); the generator
+    # holds each coordinate's transpose (vectorize)
+    rows, cols = liou.rows, liou.cols
     position = np.full((liou.n_levels, liou.n_levels), -1)
-    position[rows, cols] = np.arange(len(driven))
+    position[rows, cols] = np.arange(len(rows))
     upper = np.flatnonzero(rows <= cols)
     count = np.where(rows[upper] == cols[upper], 1, 2)
     p = np.repeat(upper, count)
     q = np.repeat(position[cols[upper], rows[upper]], count)
     im = np.zeros(len(p), dtype=bool)
     im[np.cumsum(count)[count == 2] - 1] = True
-    theta_v = (rate_p * liou.d_pump.imag
-               + rate_s * liou.d_signal.imag)[driven][p]
-    theta_s = liou.d_signal.imag[driven][p]
+    theta_v = (rate_p * liou.d_pump.imag + rate_s * liou.d_signal.imag)[p]
+    theta_s = liou.d_signal.imag[p]
     # F before S; the two parts of a coherence stay adjacent
     order = np.argsort(theta_v != 0, kind="stable")
     p, q, im, theta_v, theta_s = (arr[order] for arr in
@@ -478,12 +483,11 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     # real view of a complex array: a contiguous copy takes other BLAS
     # paths and moves rows in the last bits
     index = np.arange(len(p))
-    t = np.zeros((len(driven), len(p)), dtype=complex)
+    t = np.zeros((len(rows), len(p)), dtype=complex)
     t[p, index] = np.where(im, 1j, 1.0)
     t[q, index] = np.where(im, -1j, 1.0)
     ar = (t.conj().T @ a @ t / np.where(pop, 1.0, 2.0)[:, None]).real
-    trace_row = int(np.flatnonzero(
-        p == np.searchsorted(driven, liou.populations[-1]))[0])
+    trace_row = int(np.flatnonzero(p == liou.populations[-1])[0])
     b_r = np.zeros(len(p))
     b_r[trace_row] = 1.0
 
@@ -511,14 +515,14 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
         swap=swap, delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
         partner=partner, paired=(~pop).astype(float)[:, None],
         coef_v=coef_v, coef_s=coef_s,
-        populations=np.flatnonzero(pop), t=t, rows=rows, cols=cols)
+        populations=np.flatnonzero(pop), t=t)
 
 
 def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, ok) for one signal shift: ok says which velocity nodes v passed
     the checks, and x is the weighted sum (weights w) of those that did, in
-    real driven coordinates, with one refinement step.  Each node is solved
+    real coordinates, with one refinement step.  Each node is solved
     and checked once, from one eigendecomposition K = Delta^-1 (S0 + shift
     D_signal).
 
@@ -531,21 +535,24 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
     (B + v)^-1 g = (alpha g - beta g[pair]) / (alpha^2 + beta^2), alpha =
     a + v: on a pair, g[j] + i g[j+1] over the pole conj(lambda_j) + v.
     Every array is real.  A node on a real pole, or a non-finite input,
-    gives a non-finite column and fails the checks.
+    gives a non-finite column and fails the checks, and so does a node
+    whose shift or velocity overflows; a shift that makes K non-finite
+    raises LinAlgError, and steady_states solves every node densely.  So
+    floating-point errors are not reported here.
 
     The refinement step, A dx = b - A x through the elimination, is
     applied to the sum: dx is linear in the residual, so refining the sum
     gives the sum of the refined nodes.  A failed node may hold inf or NaN,
     so the nodes that passed are selected rather than the others given
     weight 0."""
-    n_f = ex.n_f
-    # real arrays when every eigenvalue is real, complex ones otherwise
-    lam, vec = np.linalg.eig(ex.p0 + shift * ex.ratio)
-    beta = lam.imag
-    basis = np.where(beta < 0, -vec.imag, vec.real)
-    basis_inv = np.linalg.inv(basis)
-    pair = np.arange(len(lam)) + np.sign(beta).astype(int)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n_f = ex.n_f
+        # real arrays when every eigenvalue is real, complex ones otherwise
+        lam, vec = np.linalg.eig(ex.p0 + shift * ex.ratio)
+        beta = lam.imag
+        basis = np.where(beta < 0, -vec.imag, vec.real)
+        basis_inv = np.linalg.inv(basis)
+        pair = np.arange(len(lam)) + np.sign(beta).astype(int)
         alpha = lam.real[:, None] + v
         scale = 1.0 / (alpha * alpha + (beta * beta)[:, None])
         re, im = alpha * scale, beta[:, None] * scale
@@ -572,17 +579,17 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
         # the refinement's solve per node, short of W and the sum
         u = solve_b(basis_inv @ ((ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap]
                                  / ex.delta))
-    ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
-        (pops.min(axis=0) >= -1e-8)
-    e_f = ax[:n_f]
-    if not ok.all():        # selecting copies, so only when a node failed
-        x, e_f, u, w = x[:, ok], e_f[:, ok], u[:, ok], w[ok]
-    # with e = A x - b the step is x -= A^-1 e, on S W (u @ w)
-    x = x @ w
-    step_s = basis @ (u @ w)
-    x[n_f:] -= step_s
-    x[:n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
-    return x, ok
+        ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
+            (pops.min(axis=0) >= -1e-8)
+        e_f = ax[:n_f]
+        if not ok.all():        # selecting copies, so only when a node failed
+            x, e_f, u, w = x[:, ok], e_f[:, ok], u[:, ok], w[ok]
+        # with e = A x - b the step is x -= A^-1 e, on S W (u @ w)
+        x = x @ w
+        step_s = basis @ (u @ w)
+        x[n_f:] -= step_s
+        x[:n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
+        return x, ok
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

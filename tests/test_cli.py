@@ -131,13 +131,18 @@ def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def fresh_python(code, *args):
-    """stdout of `python -c code *args` with this package on the path."""
+def python_process(*args):
+    """`python *args` run to a zero exit with this package on the path."""
     src = str(Path(vaporplate.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True)
+
+
+def fresh_python(code, *args):
+    """stdout of `python -c code *args` with this package on the path."""
+    return python_process("-c", code, *args).stdout
 
 
 def test_import_loads_neither_multiprocessing_nor_yaml():
@@ -194,6 +199,39 @@ def test_export_table1_process_loads_no_numpy():
     assert lines[-1] == "numpy loaded: False"
     assert lines[0].startswith("ground,6S1/2(F=2 mF=-2)")
     assert len(lines) == 10
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the minor page faults of glibc's malloc")
+def test_warm_one_detuning_requests_take_no_page_faults():
+    """Warm one-detuning fig7-full sweeps on the 200-node Gauss-Hermite
+    grid touch no new memory pages: the velocity kernel's temporaries (116
+    x 200 floats, 186 kB each) are reused from the heap, not mapped afresh
+    on every request.  That holds only while glibc's malloc thresholds sit
+    above their size, which the free of vectorize's full-size generator
+    (258 x 258 complex, 1 MB) brings about."""
+    out = fresh_python(
+        "import dataclasses, resource\n"
+        "import numpy as np\n"
+        "from vaporplate import load_preset, sweep\n"
+        "spec = load_preset('fig7-full').sweep_spec(velocity_points=200)\n"
+        "def request(d):\n"
+        "    sweep(dataclasses.replace(spec, detunings=np.array([d])))\n"
+        "request(245.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for d in np.linspace(230.0, 260.0, 50):\n"
+        "    request(float(d))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    assert int(out) <= 10 * 50
+
+
+def test_lcr_at_an_extreme_detuning_prints_no_warning():
+    """A signal detuning so large that the velocity kernel overflows: the
+    dense solve gives the scan, exit 0, and nothing is printed to stderr."""
+    proc = python_process("-m", "vaporplate.cli", "lcr", "--preset",
+                          "fig1-ideal", "--signal-detuning", "1e300")
+    assert proc.stderr == ""
+    assert proc.stdout
 
 
 def test_atomic_import_loads_no_numpy():
@@ -597,6 +635,30 @@ def test_missing_field_exits_one_without_csv(tmp_path, capsys, role, argv):
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert role in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["sweep", "--points", "4", "--velocity-points", "40"],
+    ["lcr", "--signal-detuning", "245"],
+], ids=["validate", "sweep", "lcr"])
+def test_isolated_population_exits_one_without_csv(tmp_path, capsys, argv):
+    """fig7-full with the 6S decay path sent to the ground reservoir G1
+    leaves the reservoir R with no channel in or out and no coupling, so
+    the steady state is not unique: each command ends in one error line
+    saying so and exit 1, and writes no CSV, instead of parking all the
+    population in R."""
+    path = _preset_copy(tmp_path, "fig7-full",
+                        _set("decay", "reservoir", "G1"))
+    out_csv = tmp_path / "out.csv"
+    command, *rest = argv
+    if command == "sweep":
+        rest += ["--out", str(out_csv)]
+    code, _, err = run(capsys, command, "--scenario", path, *rest)
+    assert code == 1
+    assert err.startswith("error: non-unique steady state")
+    assert len(err.splitlines()) == 1
     assert not out_csv.exists()
 
 

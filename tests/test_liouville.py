@@ -13,9 +13,8 @@ from vaporplate import (CO, COUNTER, DecayNetwork, DecayParams, FieldSpec,
                         SublevelId, TransitionEntry, TransitionTable,
                         build_hamiltonian, doppler_shifts, evolve,
                         load_preset, scenario_from_config, steady_state,
-                        steady_states, suggest_dt, vectorize)
+                        steady_states, suggest_dt, sweep, vectorize)
 from vaporplate import liouville
-from vaporplate.liouville import _driven
 
 
 def two_level(rabi=1.0, detuning=0.0, gamma=1.0):
@@ -171,11 +170,19 @@ def test_one_sided_lumped_coupling_is_rejected(entry):
         vectorize(h, scheme, network)
 
 
-def kron_generator(h, scheme, network):
-    """The generator as the Kronecker-product formula builds it on all n**2
-    coordinates, with the decay network, restricted to the retained
-    coordinates."""
+def non_lumped_coords(scheme):
+    """Every population and the coherences between non-lumped levels, in
+    row-major order."""
+    lumped = [lev.lumped for lev in scheme.levels]
     n = scheme.n_levels
+    return [(i, j) for i in range(n) for j in range(n)
+            if i == j or not (lumped[i] or lumped[j])]
+
+
+def kron_generator(h, network, coords):
+    """The generator as the Kronecker-product formula builds it on all n**2
+    coordinates, with the decay network, restricted to coords."""
+    n = len(h)
     eye = np.eye(n)
     m_full = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     loss = network.loss_rates()
@@ -184,17 +191,31 @@ def kron_generator(h, scheme, network):
     for src, chans in network.channels:
         for tgt, rate in chans:
             m_full[tgt * n + tgt, src * n + src] += rate
-    lumped = np.array([lev.lumped for lev in scheme.levels])
-    keep = np.eye(n, dtype=bool) | ~(lumped[:, None] | lumped[None, :])
-    sel = np.flatnonzero(keep.ravel())
+    sel = [i * n + j for i, j in coords]
     return m_full[np.ix_(sel, sel)]
+
+
+def kron_steady_state(h, scheme, network):
+    """The dense steady state of the Kronecker-product generator on every
+    non-lumped coordinate, the trace imposed on its last population row."""
+    coords = non_lumped_coords(scheme)
+    a = kron_generator(h, network, coords)
+    pops = [k for k, (i, j) in enumerate(coords) if i == j]
+    a[pops[-1]] = 0.0
+    a[pops[-1], pops] = 1.0
+    b = np.zeros(len(a), dtype=complex)
+    b[pops[-1]] = 1.0
+    rho = np.zeros((len(h), len(h)), dtype=complex)
+    rho[tuple(np.transpose(coords))] = np.linalg.solve(a, b)
+    return rho
 
 
 @pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp",
                                     "fig7-reduced15", "fig7-full"])
 def test_vectorize_matches_kron_formula_bit_for_bit(preset):
-    """vectorize builds -i[H, .] on the retained coordinates directly; every
-    entry, signed zeros included, equals the Kronecker-product formula's."""
+    """vectorize builds -i[H, .] on the non-lumped coordinates directly and
+    keeps those a population reaches; every entry, signed zeros included,
+    equals the Kronecker-product formula's on the coordinates kept."""
     scn = load_preset(preset)
     fields = scn.fields
     cases = [build_hamiltonian(scn.scheme, scn.transitions, fields),
@@ -202,15 +223,16 @@ def test_vectorize_matches_kron_formula_bit_for_bit(preset):
                                velocity_shifts=(-37.5, 12.25))]
     for h in cases:
         liou = vectorize(h, scn.scheme, scn.network)
-        want = kron_generator(h, scn.scheme, scn.network)
+        want = kron_generator(h, scn.network, liou.coords)
         assert liou.m.shape == want.shape
         assert np.array_equal(liou.m.view(np.uint64), want.view(np.uint64))
     scheme, network = lumped_scheme()
     h = np.array([[0.0, 0.4 - 0.1j, 0.0], [0.4 + 0.1j, -1.5, 0.0],
                   [0.0, 0.0, 2.0]])
-    want = kron_generator(h, scheme, network)
-    assert np.array_equal(vectorize(h, scheme, network).m.view(np.uint64),
-                          want.view(np.uint64))
+    liou = vectorize(h, scheme, network)
+    assert liou.coords == tuple(non_lumped_coords(scheme))
+    want = kron_generator(h, network, liou.coords)
+    assert np.array_equal(liou.m.view(np.uint64), want.view(np.uint64))
 
 
 def test_orphaning_network_raises():
@@ -333,11 +355,16 @@ def test_real_eigenvalues_are_handled(monkeypatch):
     """np.linalg.eig returns real arrays when every eigenvalue is real.  A
     constructed two-level generator gives Delta^-1 S0 such a spectrum: no
     Rabi coupling, an undamped coherence fed from the ground population,
-    and a pump Doppler shift.  The kernel still matches the dense solve
-    without falling back, away from the real pole at v = detuning."""
-    liou, _, _ = two_level_liouvillian(0.0, 3.0, 0.8)
+    and a pump Doppler shift.  The generator is built with a Rabi coupling,
+    so that vectorize keeps the coherences, and the coupling is then cut
+    from m.  The kernel still matches the dense solve without falling
+    back, away from the real pole at v = detuning."""
+    liou, _, _ = two_level_liouvillian(1.0, 3.0, 0.8)
     m = liou.m.copy()
-    m[1, 1] = m[1, 1].imag * 1j      # coordinates (0,0), (0,1), (1,0), (1,1)
+    # coordinates (0,0), (0,1), (1,0), (1,1)
+    m[[0, 3], 1:3] = 0.0
+    m[1:3, [0, 3]] = 0.0
+    m[1, 1] = m[1, 1].imag * 1j
     m[2, 2] = m[2, 2].imag * 1j
     m[1, 0], m[2, 0] = 0.3 - 0.2j, 0.3 + 0.2j
     liou = dataclasses.replace(liou, m=m)
@@ -442,11 +469,12 @@ def fig7_full_liouvillian(**decay):
 
 
 def test_elimination_blocks_on_fig7_full():
-    """fig7-full's driven coordinates, in real form, split into F, which no
+    """fig7-full's 116 coordinates, in real form, split into F, which no
     Doppler shift moves and which is eliminated once per generator and
-    geometry, and S; the 142 coordinates left out are strictly damped
-    coherences."""
+    geometry, and S; the 142 coordinates vectorize leaves out are strictly
+    damped coherences of the Kronecker-product generator."""
     liou, scn = fig7_full_liouvillian()
+    assert len(liou.coords) == 116
     pump, signal = scn.fields["pump"], scn.fields["signal"]
     ex = liou._expansion(doppler_shifts(1.0, COUNTER, pump.k, signal.k))
     assert (ex.n_f, len(ex.a) - ex.n_f) == (48, 68)
@@ -454,41 +482,51 @@ def test_elimination_blocks_on_fig7_full():
     assert len(ex.populations) == len(liou.populations)
     assert not np.any(ex.coef_v[:ex.n_f]) and not np.any(ex.coef_s[:ex.n_f])
     assert np.all(ex.coef_v[ex.n_f:])
-    dropped = ~_driven(liou)
-    assert np.count_nonzero(dropped) == 142
-    assert not np.any(dropped[liou.populations])
-    assert np.all(np.diagonal(liou.m).real[dropped] < 0)
+    coords = non_lumped_coords(scn.scheme)
+    h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
+    diagonal = np.diagonal(kron_generator(h, scn.network, coords))
+    dropped = [k for k, c in enumerate(coords) if c not in liou.coords]
+    assert len(dropped) == 142
+    assert all(coords[k][0] != coords[k][1] for k in dropped)
+    assert np.all(diagonal.real[dropped] < 0)
 
 
 def test_driven_set_keeps_every_coordinate_without_ground_relaxation():
-    """With gamma_g = 0 some ground coherences outside the driven set are
-    not damped, so the reduction is not exact and nothing is left out."""
-    liou, _ = fig7_full_liouvillian(gamma_g=0.0)
-    assert np.all(_driven(liou))
+    """With gamma_g = 0 some ground coherences that no population reaches
+    are not damped, so the reduction is not exact and vectorize keeps all
+    258 non-lumped coordinates."""
+    liou, scn = fig7_full_liouvillian(gamma_g=0.0)
+    assert liou.coords == tuple(non_lumped_coords(scn.scheme))
+    assert len(liou.coords) == 258
 
 
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
 @pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp",
                                     "fig7-reduced15", "fig7-full"])
 def test_dense_steady_state_vanishes_off_the_driven_set(preset, geometry):
-    """The dense solve of the whole generator is exactly zero on every
-    coordinate the elimination leaves out, at any velocity and detuning;
-    the coordinates it keeps hold each one's transpose."""
+    """The dense solve of the Kronecker-product generator on every
+    non-lumped coordinate is exactly zero on each one vectorize leaves out,
+    at any velocity and detuning, and matches steady_state on the others;
+    the coordinates kept hold each one's transpose."""
     scn = load_preset(preset)
     h = build_hamiltonian(scn.scheme, scn.transitions, scn.fields)
     liou = vectorize(h, scn.scheme, scn.network)
-    dropped = ~_driven(liou)
-    transposed = np.zeros((liou.n_levels, liou.n_levels), dtype=bool)
-    transposed[liou.cols[~dropped], liou.rows[~dropped]] = True
-    assert np.array_equal(transposed[liou.rows, liou.cols], ~dropped)
+    kept = np.zeros((liou.n_levels, liou.n_levels), dtype=bool)
+    kept[liou.rows, liou.cols] = True
+    assert np.array_equal(kept, kept.T)
     pump, signal = scn.fields["pump"], scn.fields["signal"]
     rng = np.random.default_rng(14)
     for _ in range(4):
         v, delta_s = rng.uniform(-400.0, 400.0), rng.uniform(-600.0, 600.0)
         shift_p, shift_s = doppler_shifts(v, geometry, pump.k, signal.k)
-        rho = steady_state(liou, shift_p,
-                           delta_s - signal.detuning + shift_s)
-        assert np.all(rho[liou.rows[dropped], liou.cols[dropped]] == 0.0)
+        shift_s += delta_s - signal.detuning
+        rho = steady_state(liou, shift_p, shift_s)
+        full = kron_steady_state(
+            build_hamiltonian(scn.scheme, scn.transitions, scn.fields,
+                              velocity_shifts=(shift_p, shift_s)),
+            scn.scheme, scn.network)
+        assert np.all(full[~kept] == 0.0)
+        assert np.allclose(full, rho, rtol=1e-9, atol=1e-12)
 
 
 def test_steady_state_scale_invariance():
@@ -514,6 +552,36 @@ def test_nonunique_steady_state_raises():
     for shift in (0.0, 1.0):
         with pytest.raises(SolverError, match="non-unique"):
             steady_states(liou, shift, [0.0], [1.0], (0.0, 0.0))
+
+
+def test_isolated_population_raises():
+    """fig7-full with the 6S decay path sent to the ground reservoir G1:
+    the reservoir R then has no decay channel in or out and no coupling.
+    Its population is a second null direction of M, which the trace row
+    does not remove and an LU need not find; both solvers raise, naming
+    R's slot, instead of answering with all the population parked in R."""
+    liou, scn = fig7_full_liouvillian(reservoir="G1")
+    slot = scn.scheme.index[SublevelId("R", lumped=True)]
+    message = f"non-unique steady state: the population of slot {slot} "
+    with pytest.raises(SolverError, match=message):
+        steady_state(liou)
+    for shift in (0.0, 1.0):
+        with pytest.raises(SolverError, match=message):
+            steady_states(liou, shift, [-40.0, 0.0, 40.0], [0.25, 0.5, 0.25],
+                          (1.0, -0.6))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig7-full"])
+def test_sweep_at_the_largest_detunings_warns_nothing(preset):
+    """Signal detunings near the largest float overflow the velocity
+    kernel: every node goes to the dense solve, the rows are finite, and
+    no floating-point warning is raised."""
+    spec = load_preset(preset).sweep_spec(
+        velocity_points=20 if preset == "fig7-full" else None)
+    spec = dataclasses.replace(spec, detunings=np.array([-1.7e308, 1.7e308]))
+    rows = [r.as_tuple() for r in sweep(spec)]
+    assert np.all(np.isfinite(rows))
 
 
 def test_density_validation_tolerances():
