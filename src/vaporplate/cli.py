@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker processes, at most one per detuning and per "
+                   help="worker threads, at most one per detuning and per "
                         "usable CPU (default 1)")
     p.add_argument("--points", type=_positive_int,
                    help="override detuning count")

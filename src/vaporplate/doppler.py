@@ -8,10 +8,11 @@ eigendecomposition.  The generator at rest and those eliminations are kept
 across sweeps (_generator): a sweep whose generator inputs equal the last
 sweep's builds neither again, so a stream of one-detuning requests at one
 operating point pays for one eigendecomposition each.  Rows are
-independent, so they are computed on one worker or on a process pool over
-detunings, and a row does not depend on the worker count, on the detunings
-beside it or on whether the generator was kept.  A checkpoint holds the
-finished rows, so a resumed sweep computes only the others.
+independent, so they are computed in this thread or on a pool of threads
+over detunings, which share the generator and its elimination, and a row
+does not depend on the worker count, on the detunings beside it or on
+whether the generator was kept.  A checkpoint holds the finished rows, so
+a resumed sweep computes only the others.
 """
 
 from __future__ import annotations
@@ -142,6 +143,8 @@ class SweepSpec:
 
     def __post_init__(self):
         d = np.asarray(self.detunings, dtype=float)
+        if d.ndim != 1:
+            raise ModelError(f"detunings must be 1-D, not of shape {d.shape}")
         if d.size == 0:
             raise ModelError("a sweep needs at least one detuning")
         if not np.all(np.isfinite(d)):
@@ -161,9 +164,10 @@ class SweepSpec:
 _last_generator: tuple[tuple, Liouvillian] | None = None
 
 
-def _generator(spec: SweepSpec) -> Liouvillian:
-    """The spec's Liouvillian for an atom at rest; every cell of the sweep
-    is this generator with its detunings shifted.
+def _generator(spec: SweepSpec) -> tuple[tuple, Liouvillian]:
+    """The spec's Liouvillian for an atom at rest, and the key it is kept
+    under; every cell of the sweep is this generator with its detunings
+    shifted.
 
     The last generator built is kept, and with it the F elimination kept
     on it (Liouvillian._expansion), so a sweep whose generator inputs equal
@@ -176,12 +180,9 @@ def _generator(spec: SweepSpec) -> Liouvillian:
     global _last_generator
     h = build_hamiltonian(spec.scheme, spec.transitions, spec.fields)
     key = (h.tobytes(), spec.scheme.levels, spec.scheme.tiers, spec.network)
-    last = _last_generator
-    if last is not None and last[0] == key:
-        return last[1]
-    liou = vectorize(h, spec.scheme, spec.network)
-    _last_generator = key, liou
-    return liou
+    if _last_generator is None or _last_generator[0] != key:
+        _last_generator = key, vectorize(h, spec.scheme, spec.network)
+    return _last_generator
 
 
 def _detuning_row(spec: SweepSpec, liou: Liouvillian, detuning: float
@@ -225,19 +226,18 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     """Doppler-averaged responses, one per signal detuning.
 
     progress(done, total) counts detunings.  The pool has at most as many
-    workers as there are detunings to solve and CPUs this process may run
-    on; with one, the sweep runs in this process.  Each row is computed
-    the same way whatever the worker count, so rows are bit-identical
-    across worker counts.  With a checkpoint path the finished rows are
-    saved every 16 detunings and at the end, and a resumed sweep computes
-    only the others; a checkpoint written for a different spec, or in
-    another format, is ignored and the sweep is recomputed.  A checkpoint
-    path holding a file numpy cannot read raises ConfigError, and the file
-    is left as it is."""
+    worker threads as there are detunings to solve and CPUs this process
+    may run on; with one, the sweep runs in the calling thread.  Each row
+    is computed the same way whatever the worker count, so rows are
+    bit-identical across worker counts.  With a checkpoint path the
+    finished rows are saved every 16 detunings and at the end, and a
+    resumed sweep computes only the others; a checkpoint written for a
+    different spec, or in another format, is ignored and the sweep is
+    recomputed.  A checkpoint path holding a file numpy cannot read raises
+    ConfigError, and the file is left as it is."""
     total = len(spec.detunings)
-    liou = _generator(spec)
-    # _last_generator now holds liou and the key it was built for
-    fingerprint = _fingerprint(spec, _last_generator[0]) if checkpoint else ""
+    key, liou = _generator(spec)
+    fingerprint = _fingerprint(spec, key) if checkpoint else ""
     rows = np.zeros((total, 4))
     done = 0
 
@@ -262,9 +262,8 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     if workers <= 1:
         collect(map(row_at, todo))
     else:
-        chunk = max(1, len(todo) // (workers * 4))
         with _pool(workers) as pool:
-            collect(pool.map(row_at, todo, chunksize=chunk))
+            collect(pool.map(row_at, todo))
 
     if not np.all(np.isfinite(rows)):
         raise SolverError("the Doppler-averaged response is not finite")
@@ -272,11 +271,13 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
 
 
 def _pool(workers: int):
-    """A process pool of `workers` workers.  Imported here, not at the top:
-    it loads multiprocessing, which only a pooled sweep uses and which
+    """A pool of `workers` threads of this process.  They share the sweep's
+    generator and its elimination, and numpy releases the GIL in the
+    LAPACK and BLAS calls and the large array operations a row is made of.
+    Imported here, not at the top: only a pooled sweep uses it, and it
     slows CLI start-up."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _cpu_count() -> int:

@@ -193,8 +193,8 @@ class Liouvillian:
         velocity (_build_expansion), None included, for the pair of Doppler
         rates `doppler`.  The generator of a sweep outlives it
         (doppler._generator), so the one for the last pair asked for is
-        kept, in _kept, and goes with a pickled generator to a pool's
-        workers."""
+        kept, in _kept, which the threads of a pooled sweep share: threads
+        that find it missing may each build it, all to the same arrays."""
         key = (float(doppler[0]), float(doppler[1]))
         if not self._kept or self._kept[0] != key:
             self._kept[:] = key, _build_expansion(self, *key)
@@ -448,74 +448,78 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
     None, and every cell goes to steady_state, if the generator at rest
     has no unique steady state (the dense LU finds the exact zero pivot of
     such a generator, which an elimination hides), if A_FF is singular, or
-    if a coordinate of F has d_signal != 0."""
-    a, saved_row, b = _trace_imposed(liou, 0.0, 0.0)
-    try:
-        np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
+    if a coordinate of F has d_signal != 0.  Floating-point errors are not
+    reported: an overflowed elimination makes _expanded_states raise
+    LinAlgError or fail its node checks, and the cells go to steady_state."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, saved_row, b = _trace_imposed(liou, 0.0, 0.0)
+        try:
+            np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return None
 
-    # one real coordinate per population and two per coherence (i, j),
-    # i < j, at positions p (of (i, j)) and q (of (j, i)); the generator
-    # holds each coordinate's transpose (vectorize)
-    rows, cols = liou.rows, liou.cols
-    position = np.full((liou.n_levels, liou.n_levels), -1)
-    position[rows, cols] = np.arange(len(rows))
-    upper = np.flatnonzero(rows <= cols)
-    count = np.where(rows[upper] == cols[upper], 1, 2)
-    p = np.repeat(upper, count)
-    q = np.repeat(position[cols[upper], rows[upper]], count)
-    im = np.zeros(len(p), dtype=bool)
-    im[np.cumsum(count)[count == 2] - 1] = True
-    theta_v = (rate_p * liou.d_pump.imag + rate_s * liou.d_signal.imag)[p]
-    theta_s = liou.d_signal.imag[p]
-    # F before S; the two parts of a coherence stay adjacent
-    order = np.argsort(theta_v != 0, kind="stable")
-    p, q, im, theta_v, theta_s = (arr[order] for arr in
-                                  (p, q, im, theta_v, theta_s))
-    n_f = int(np.count_nonzero(theta_v == 0))
-    if np.any(theta_s[:n_f]):
-        return None
-    pop = p == q
-    # T maps real coordinates to complex ones: rho_ij = x_Re + i x_Im and
-    # rho_ji = x_Re - i x_Im; T^H T is diagonal, 1 on a population and 2
-    # on each part of a coherence, so T^-1 = diag(T^H T)^-1 T^H.  ar is a
-    # real view of a complex array: a contiguous copy takes other BLAS
-    # paths and moves rows in the last bits
-    index = np.arange(len(p))
-    t = np.zeros((len(rows), len(p)), dtype=complex)
-    t[p, index] = np.where(im, 1j, 1.0)
-    t[q, index] = np.where(im, -1j, 1.0)
-    ar = (t.conj().T @ a @ t / np.where(pop, 1.0, 2.0)[:, None]).real
-    trace_row = int(np.flatnonzero(p == liou.populations[-1])[0])
-    b_r = np.zeros(len(p))
-    b_r[trace_row] = 1.0
+        # one real coordinate per population and two per coherence (i, j),
+        # i < j, at positions p (of (i, j)) and q (of (j, i)); the generator
+        # holds each coordinate's transpose (vectorize)
+        rows, cols = liou.rows, liou.cols
+        position = np.full((liou.n_levels, liou.n_levels), -1)
+        position[rows, cols] = np.arange(len(rows))
+        upper = np.flatnonzero(rows <= cols)
+        count = np.where(rows[upper] == cols[upper], 1, 2)
+        p = np.repeat(upper, count)
+        q = np.repeat(position[cols[upper], rows[upper]], count)
+        im = np.zeros(len(p), dtype=bool)
+        im[np.cumsum(count)[count == 2] - 1] = True
+        theta_v = (rate_p * liou.d_pump.imag + rate_s * liou.d_signal.imag)[p]
+        theta_s = liou.d_signal.imag[p]
+        # F before S; the two parts of a coherence stay adjacent
+        order = np.argsort(theta_v != 0, kind="stable")
+        p, q, im, theta_v, theta_s = (arr[order] for arr in
+                                      (p, q, im, theta_v, theta_s))
+        n_f = int(np.count_nonzero(theta_v == 0))
+        if np.any(theta_s[:n_f]):
+            return None
+        pop = p == q
+        # T maps real coordinates to complex ones: rho_ij = x_Re + i x_Im and
+        # rho_ji = x_Re - i x_Im; T^H T is diagonal, 1 on a population and 2
+        # on each part of a coherence, so T^-1 = diag(T^H T)^-1 T^H.  ar is a
+        # real view of a complex array: a contiguous copy takes other BLAS
+        # paths and moves rows in the last bits
+        index = np.arange(len(p))
+        t = np.zeros((len(rows), len(p)), dtype=complex)
+        t[p, index] = np.where(im, 1j, 1.0)
+        t[q, index] = np.where(im, -1j, 1.0)
+        ar = (t.conj().T @ a @ t / np.where(pop, 1.0, 2.0)[:, None]).real
+        trace_row = int(np.flatnonzero(p == liou.populations[-1])[0])
+        b_r = np.zeros(len(p))
+        b_r[trace_row] = 1.0
 
-    # [Z | y | W] = A_FF^-1 [A_FS | b_F | 1]
-    n_s = len(p) - n_f
-    try:
-        sol = np.linalg.solve(ar[:n_f, :n_f], np.column_stack(
-            [ar[:n_f, n_f:], b_r[:n_f], np.eye(n_f)]))
-    except np.linalg.LinAlgError:
-        return None
-    z, y, w_ff = sol[:, :n_s], sol[:, n_s:n_s + 1], sol[:, n_s + 1:]
-    a_sf = ar[n_f:, :n_f]
+        # [Z | y | W] = A_FF^-1 [A_FS | b_F | 1]
+        n_s = len(p) - n_f
+        try:
+            sol = np.linalg.solve(ar[:n_f, :n_f], np.column_stack(
+                [ar[:n_f, n_f:], b_r[:n_f], np.eye(n_f)]))
+        except np.linalg.LinAlgError:
+            return None
+        z, y, w_ff = sol[:, :n_s], sol[:, n_s:n_s + 1], sol[:, n_s + 1:]
+        a_sf = ar[n_f:, :n_f]
 
-    partner = index + np.where(im, -1, np.where(pop, 0, 1))
-    sign = np.where(im, 1.0, -1.0)
-    coef_v, coef_s = sign * theta_v, sign * theta_s
-    # (Delta^-1 m)[s] = m[partner[s]] / coef_v[partner[s]] on S
-    swap = partner[n_f:] - n_f
-    delta = coef_v[n_f:][swap, None]
-    p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
-    ar[trace_row] = (saved_row @ t).real
-    return _Expansion(
-        a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
-        y_sf=a_sf @ w_ff, p0=p0, ratio=np.diag(theta_s[n_f:] / theta_v[n_f:]),
-        swap=swap, delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
-        partner=partner, paired=(~pop).astype(float)[:, None],
-        coef_v=coef_v, coef_s=coef_s,
-        populations=np.flatnonzero(pop), t=t)
+        partner = index + np.where(im, -1, np.where(pop, 0, 1))
+        sign = np.where(im, 1.0, -1.0)
+        coef_v, coef_s = sign * theta_v, sign * theta_s
+        # (Delta^-1 m)[s] = m[partner[s]] / coef_v[partner[s]] on S
+        swap = partner[n_f:] - n_f
+        delta = coef_v[n_f:][swap, None]
+        p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
+        ar[trace_row] = (saved_row @ t).real
+        return _Expansion(
+            a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
+            y_sf=a_sf @ w_ff, p0=p0,
+            ratio=np.diag(theta_s[n_f:] / theta_v[n_f:]), swap=swap,
+            delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
+            partner=partner, paired=(~pop).astype(float)[:, None],
+            coef_v=coef_v, coef_s=coef_s,
+            populations=np.flatnonzero(pop), t=t)
 
 
 def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,

@@ -147,14 +147,15 @@ def fresh_python(code, *args):
 
 def test_import_loads_neither_multiprocessing_nor_yaml():
     """A fresh interpreter importing the package loads none of its
-    submodules, so neither numpy, the process pool's multiprocessing, the
-    YAML parser nor hashlib: the public names load their modules on first
-    use, and only a pooled sweep, scenario loading and a checkpoint's
-    fingerprint use the last three."""
+    submodules, so neither numpy, multiprocessing, the thread pool's
+    concurrent.futures, the YAML parser nor hashlib: the public names load
+    their modules on first use, and only a pooled sweep, scenario loading
+    and a checkpoint's fingerprint use the last three."""
     out = fresh_python(
         "import sys; before = set(sys.modules); import vaporplate; "
         "new = set(sys.modules) - before; "
-        "print(sorted({'numpy', 'multiprocessing', 'yaml', 'hashlib'} & new),"
+        "print(sorted({'numpy', 'multiprocessing', 'concurrent', 'yaml',"
+        " 'hashlib'} & new),"
         " sorted(m for m in new if m.startswith('vaporplate.')))")
     assert out.strip() == "[] []"
 

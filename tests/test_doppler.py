@@ -2,7 +2,7 @@
 checkpointing, and the CSV interchange format."""
 
 import dataclasses
-import pickle
+import sys
 import warnings
 from importlib import resources
 
@@ -97,8 +97,13 @@ def test_sweep_spec_rejects_non_monotone_detunings(fig7):
 
 
 def test_sweep_spec_needs_a_detuning(fig7):
+    """At least one detuning, in a 1-D list: a column, a square and a
+    scalar are refused before the sweep indexes them."""
     with pytest.raises(ModelError, match="at least one detuning"):
         small_spec(fig7, [])
+    for bad in ([[1.0], [2.0]], [[1.0, 2.0], [3.0, 4.0]], 1.0):
+        with pytest.raises(ModelError, match="1-D"):
+            small_spec(fig7, bad)
 
 
 def test_sweep_spec_rejects_non_finite_detunings(fig7):
@@ -222,7 +227,7 @@ def test_refined_average_matches_dense_average(preset, geometry):
     spec = small_spec(scn, [-300.0, 10.0, 245.0],
                       grid=VelocityGrid.gauss_hermite(40), geometry=geometry)
     rows = np.array([r.as_tuple() for r in sweep(spec)])
-    liou = doppler._generator(spec)
+    _, liou = doppler._generator(spec)
     pump, signal = spec.fields["pump"], spec.fields["signal"]
     want = []
     for d in spec.detunings:
@@ -300,7 +305,7 @@ def test_singular_block_solves_every_node_densely(monkeypatch):
     """A LinAlgError in a detuning's eigendecomposition sends every node
     of that detuning to steady_state."""
     scn = load_preset("fig7-reduced15")
-    liou = doppler._generator(small_spec(scn, [0.0]))
+    _, liou = doppler._generator(small_spec(scn, [0.0]))
     nodes, weights = np.array([-3.0, 0.5, 8.0]), np.array([0.3, 0.3, 0.4])
     rates = (-0.7, 0.4)
     shifts = np.array([1.0, 2.0])
@@ -460,9 +465,9 @@ def test_kept_generator_rows_match_a_fresh_build(preset, geometry, cold):
     for spec in specs:
         cold()
         fresh.append(bits(sweep(spec)))
-    kept = doppler._generator(specs[-1])
+    _, kept = doppler._generator(specs[-1])
     warm = [bits(sweep(spec)) for spec in specs]
-    assert doppler._generator(specs[0]) is kept
+    assert doppler._generator(specs[0])[1] is kept
     assert np.array_equal(warm, fresh)
 
 
@@ -539,26 +544,28 @@ def test_kept_eliminations_stay_within_the_cap(fig7, cold, builds):
         assert builds == {"vectorize": 1, "_build_expansion": n}
         assert np.array_equal(bits(sweep(scanned)), rows[-1])
         assert builds == {"vectorize": 1, "_build_expansion": n}
-    assert doppler._generator(scan[-1]) is doppler._generator(spec)
+    assert doppler._generator(scan[-1])[1] is doppler._generator(spec)[1]
     assert np.array_equal(bits(sweep(scan[0])), rows[0])
     assert builds == {"vectorize": 1, "_build_expansion": 11}
 
 
 def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
-                                                         monkeypatch):
-    """The pickled generator carries its elimination into the workers once
-    a serial sweep has built it; rows of a pool started before and after
-    that are bit-identical to the serial sweep's."""
+                                                         builds, monkeypatch):
+    """The worker threads share the sweep's generator and its elimination:
+    a cold two-worker sweep builds the elimination at most once per worker,
+    one after a serial sweep builds none, and the rows of both are
+    bit-identical to the serial sweep's."""
     spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
                       grid=VelocityGrid.gauss_hermite(4))
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
     pooled_cold = bits(sweep(spec, workers=2))
+    assert builds["vectorize"] == 1
+    assert 1 <= builds["_build_expansion"] <= 2
+    cold()
     serial = bits(sweep(spec))
-    kept = doppler._generator(spec)
-    carried = pickle.loads(pickle.dumps(kept))._kept
-    assert carried[0] == kept._kept[0]
-    assert np.array_equal(carried[1].p0, kept._kept[1].p0)
+    built = dict(builds)
     assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+    assert builds == built
     assert np.array_equal(pooled_cold, serial)
 
 
@@ -573,6 +580,44 @@ def test_sweep_worker_count_does_not_change_output(fig7):
     parallel = sweep(spec, workers=2)
     for a, b in zip(serial, parallel):
         assert a.as_tuple() == b.as_tuple()     # bit-identical
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_worker_threads_match_serial_rows(preset, geometry, cold,
+                                          monkeypatch):
+    """Two worker threads give rows bit-identical to a serial sweep's on
+    every sweep preset and both geometries, at rest and on a small grid,
+    whether they share the elimination a serial sweep kept or build it
+    themselves."""
+    scn = load_preset(preset)
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    for grid in (VelocityGrid.delta(), VelocityGrid.gauss_hermite(16)):
+        spec = small_spec(scn, np.linspace(-60.0, 250.0, 8), grid=grid,
+                          geometry=geometry)
+        serial = bits(sweep(spec))
+        assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+        cold()
+        assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+
+
+def test_more_threads_than_cores_build_at_most_one_elimination_each(
+        fig7, cold, builds, monkeypatch):
+    """Eight worker threads switching every microsecond, from a cold start:
+    each builds the shared elimination at most once, the generator is
+    built once, and the rows are the serial sweep's."""
+    spec = small_spec(fig7, np.linspace(-60.0, 250.0, 32))
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = bits(sweep(spec, workers=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds["vectorize"] == 1
+    assert 1 <= builds["_build_expansion"] <= 8
+    cold()
+    assert np.array_equal(pooled, bits(sweep(spec)))
 
 
 def test_pool_over_blocks_matches_serial(fig7, monkeypatch):
@@ -687,7 +732,7 @@ def velocity_major_fingerprint(spec):
     """The fingerprint of the velocity-major checkpoint format, which held
     a partial weighted sum over nodes ("acc") and the node count."""
     import hashlib
-    liou = doppler._generator(spec)
+    _, liou = doppler._generator(spec)
     digest = hashlib.sha256(spec.detunings.tobytes())
     digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
                         spec.medium)).encode())

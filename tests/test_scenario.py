@@ -343,8 +343,6 @@ _MUTATIONS = [(name, path, value)
               for value in (math.nan, math.inf, -math.inf, -1, 0, 1e300, 1.7)]
 
 
-# numpy warns on overflow along the way (a Rabi frequency of 1e300, say)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(mutation=st.sampled_from(_MUTATIONS))
 def test_mutated_preset_solves_to_finite_rows_or_raises(mutation):
