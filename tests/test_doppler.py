@@ -2,6 +2,7 @@
 checkpointing, and the CSV interchange format."""
 
 import dataclasses
+import math
 import sys
 import warnings
 from importlib import resources
@@ -65,6 +66,8 @@ def test_velocity_grid_validation():
         VelocityGrid((0.0,), (0.5,), 403.0, 86.909, 1.0, "x")
     with pytest.raises(ModelError):
         VelocityGrid((float("nan"),), (1.0,), 403.0, 86.909, 1.0, "x")
+    with pytest.raises(ModelError, match="negative weights"):
+        VelocityGrid((0.0, 100.0), (-0.5, 1.5), 403.0, 86.909, 1.0, "custom")
     assert len(VelocityGrid.gauss_hermite(MAX_GAUSS_HERMITE_NODES)
                .velocities) == MAX_GAUSS_HERMITE_NODES
     with warnings.catch_warnings():
@@ -81,6 +84,58 @@ def test_velocity_grid_rejects_bad_thermal_parameters():
         for make in (VelocityGrid.gauss_hermite, VelocityGrid.uniform):
             with pytest.raises(ModelError):
                 make(n, temperature, mass)
+
+
+EPS = np.finfo(float).eps
+
+
+def left_out(grid):
+    """The weights of the nodes a sweep leaves out, and the kept mask."""
+    v, w = np.asarray(grid.velocities), np.asarray(grid.weights)
+    kept_v, kept_w = doppler._solved_nodes(grid)
+    kept = np.isin(v, kept_v)
+    assert np.array_equal(v[kept], kept_v)          # in grid order
+    assert np.array_equal(w[kept], kept_w)          # not renormalized
+    return w[~kept], kept
+
+
+def test_left_out_nodes_weigh_at_most_half_an_epsilon():
+    """On every Gauss-Hermite grid the nodes a sweep leaves out carry at
+    most eps/2 of the weight, the lightest nodes kept would take them past
+    that, and the kept nodes are symmetric in v."""
+    for n in range(1, MAX_GAUSS_HERMITE_NODES + 1):
+        grid = VelocityGrid.gauss_hermite(n)
+        w = np.asarray(grid.weights)
+        dropped, kept = left_out(grid)
+        budget = 0.5 * EPS * math.fsum(w)
+        assert math.fsum(dropped) <= budget, n
+        lightest = w[kept].min()
+        assert math.fsum(dropped) + math.fsum(w[w == lightest]) > budget, n
+        v = np.asarray(grid.velocities)[kept]
+        assert np.array_equal(np.sort(v), np.sort(-v)), n
+
+
+def test_grids_that_lose_no_node():
+    """Gauss-Hermite grids of up to 24 nodes, gate 9's uniform grid of 800
+    and the delta grid are solved at every node; GH40, GH200 and GH370
+    keep 32, 74 and 102."""
+    grids = [VelocityGrid.gauss_hermite(n) for n in range(1, 25)]
+    for grid in grids + [VelocityGrid.uniform(800), VelocityGrid.delta()]:
+        assert left_out(grid)[0].size == 0
+    for n, kept in ((25, 23), (40, 32), (200, 74), (370, 102)):
+        assert left_out(VelocityGrid.gauss_hermite(n))[1].sum() == kept
+
+
+def test_equal_weights_are_left_out_together():
+    """Two nodes of 0.4 eps each weigh more than eps/2 together, so both
+    are solved, where one of them alone is left out."""
+    tiny = 0.4 * EPS
+    pair = VelocityGrid((-900.0, 0.0, 900.0), (tiny, 1.0 - 2 * tiny, tiny),
+                        403.0, 86.909, 1.0, "custom")
+    assert left_out(pair)[0].size == 0
+    single = VelocityGrid((0.0, 900.0), (1.0 - tiny, tiny), 403.0, 86.909,
+                          1.0, "custom")
+    assert np.array_equal(left_out(single)[0], [tiny])
 
 
 def test_doppler_shift_signs():
@@ -242,6 +297,36 @@ def test_refined_average_matches_dense_average(preset, geometry):
 
 
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", ["fig7-full", "fig7-reduced15"])
+def test_preset_grid_rows_match_the_dense_average_over_every_node(
+        preset, geometry):
+    """On the preset's GH200 grid, which a sweep solves at 74 of its 200
+    nodes, the rows at both ends of the detuning range, where the far tail
+    matters most, and in gate 8's window match the weighted average of
+    dense per-cell solves over all 200 nodes to 1e-12 of the largest row
+    entry."""
+    scn = load_preset(preset)
+    spec = dataclasses.replace(scn.sweep_spec(geometry=geometry),
+                               detunings=np.array([-1200.0, 245.0, 1200.0]))
+    assert spec.grid.kind == "gauss_hermite"
+    assert len(spec.grid.velocities) == 200
+    assert len(doppler._solved_nodes(spec.grid)[0]) == 74
+    rows = np.array([r.as_tuple() for r in sweep(spec)])
+    _, liou = doppler._generator(spec)
+    pump, signal = spec.fields["pump"], spec.fields["signal"]
+    want = []
+    for d in spec.detunings:
+        rho = 0.0
+        for v, w in zip(spec.grid.velocities, spec.grid.weights):
+            shift_p, shift_s = doppler_shifts(v, geometry, pump.k, signal.k)
+            rho = rho + w * steady_state(liou, shift_p,
+                                         d - signal.detuning + shift_s)
+        want.append(response_from_density(rho, spec.scheme, spec.transitions,
+                                          signal, spec.medium).as_tuple())
+    assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
 @pytest.mark.parametrize("preset", SWEEP_PRESETS)
 def test_failing_node_alone_takes_the_dense_path(preset, geometry,
                                                  monkeypatch):
@@ -352,6 +437,20 @@ def test_equal_wavevectors_solve_every_cell_densely(monkeypatch):
     assert_every_cell_dense(scn, spec, monkeypatch)
 
 
+def test_declined_kernel_solves_only_the_kept_nodes_densely(monkeypatch):
+    """When the kernel declines on a GH40 grid, steady_state solves the 32
+    nodes a sweep keeps at each detuning, and the rows match the average
+    of full rebuilds over all 40 nodes."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig1-ideal.yaml").read_text())
+    cfg["fields"]["signal"]["wavelength_nm"] = \
+        cfg["fields"]["pump"]["wavelength_nm"]
+    scn = scenario_from_config(cfg)
+    spec = small_spec(scn, [-20.0, 35.0],
+                      grid=VelocityGrid.gauss_hermite(40))
+    assert_every_cell_dense(scn, spec, monkeypatch, nodes=32)
+
+
 def test_singular_f_block_solves_every_cell_densely(monkeypatch):
     """An upper level that does not decay leaves A_FF singular (its
     population column in F is the trace row's alone) although the driven
@@ -368,7 +467,7 @@ def test_singular_f_block_solves_every_cell_densely(monkeypatch):
     assert_every_cell_dense(scn, spec, monkeypatch)
 
 
-def assert_every_cell_dense(scn, spec, monkeypatch):
+def assert_every_cell_dense(scn, spec, monkeypatch, nodes=None):
     calls = []
     dense = liouville.steady_state
 
@@ -381,7 +480,8 @@ def assert_every_cell_dense(scn, spec, monkeypatch):
     monkeypatch.setattr(liouville, "_expanded_states", no_expansion)
     monkeypatch.setattr(liouville, "steady_state", record)
     rows = np.array([r.as_tuple() for r in sweep(spec)])
-    assert len(calls) == len(spec.detunings) * len(spec.grid.velocities)
+    nodes = nodes or len(spec.grid.velocities)
+    assert len(calls) == len(spec.detunings) * nodes
     assert np.allclose(rows, averaged_rebuild(scn, spec), rtol=1e-9,
                        atol=1e-12)
 
@@ -726,6 +826,25 @@ def test_checkpoint_in_per_detuning_format_is_recomputed(tmp_path, fig7):
     assert seen == [1, 2]
     for a, b in zip(resumed, sweep(spec)):
         assert a.as_tuple() == b.as_tuple()
+
+
+def test_checkpoint_of_format_v4_is_recomputed(tmp_path, fig7,
+                                               monkeypatch):
+    """A v4 checkpoint holds rows averaged over every node of the grid,
+    which differ in the last bits from rows over the nodes a sweep keeps;
+    it is recomputed in full, not resumed."""
+    spec = small_spec(fig7, [0.0, 10.0, 20.0],
+                      grid=VelocityGrid.gauss_hermite(40))
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    with monkeypatch.context() as patch:
+        patch.setattr(doppler, "CHECKPOINT_FORMAT",
+                      "vaporplate sweep checkpoint v4: finished rows")
+        sweep(spec, checkpoint=ck)
+    seen = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: seen.append(done))
+    assert seen == [1, 2, 3]
+    assert np.array_equal(bits(resumed), bits(sweep(spec)))
 
 
 def velocity_major_fingerprint(spec):
