@@ -187,8 +187,10 @@ def cmd_validate(args) -> int:
           f"{len(scn.transitions.for_field('signal'))} signal)")
     print(f"  decay channels: {n_chan}")
     if scn.sweep is not None:
-        print(f"  sweep: {scn.sweep.detuning_points} detunings x "
-              f"{scn.sweep.velocity_points} velocities ({scn.sweep.geometry})")
+        nodes = scn.sweep.velocity_points
+        print(f"  sweep: {scn.sweep.detuning_points} detunings x {nodes} "
+              f"{'velocity' if nodes == 1 else 'velocities'} "
+              f"({scn.sweep.geometry})")
     return 0
 
 

@@ -1,28 +1,29 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-The sweep is detuning-major: each row is one call of
-liouville.steady_states at one signal detuning over the velocity nodes the
-sweep solves, which eliminates the coordinates no Doppler shift moves once
-per generator and geometry and then solves every node from one
-eigendecomposition.  Those nodes are picked once per sweep (_solved_nodes):
-the lightest nodes, as long as together they weigh at most eps/2 of the
-grid (eps the float64 machine epsilon), are left out, and nodes of equal
-weight are left out together or not at all, so a symmetric grid stays
-symmetric.  Every steady state has unit trace, so |rho_ij| <= 1 and
-leaving them out moves each entry of the averaged rho by at most eps/2,
-the rounding of one O(1) addition; the rows are linear in that average.  A
-left-out node is neither solved nor checked, so it cannot raise
-SolverError.  GH200 solves 74 of its 200 nodes, GH40 32 and GH370 102;
-Gauss-Hermite grids of at most 24 nodes, uniform grids and the delta grid
-lose none.  The generator at rest and those eliminations are kept across
-sweeps (_generator): a sweep whose generator inputs equal the last
-sweep's builds neither again, so a stream of one-detuning requests at one
+The sweep is detuning-major: each row is one velocity average of the
+steady state (liouville.steady_states, with its elimination of the
+coordinates no Doppler shift moves given) at one signal detuning over the
+velocity nodes the sweep solves, all from one eigendecomposition.  Those
+nodes are picked once per sweep (_solved_nodes): the lightest nodes, as
+long as together they weigh at most eps/2 of the grid (eps the float64
+machine epsilon), are left out, and nodes of equal weight are left out
+together or not at all, so a symmetric grid stays symmetric.  Every
+steady state has unit trace, so |rho_ij| <= 1 and leaving them out moves
+each entry of the averaged rho by at most eps/2, the rounding of one O(1)
+addition; the rows are linear in that average.  A left-out node is
+neither solved nor checked, so it cannot raise SolverError.  GH200 solves
+74 of its 200 nodes, GH40 32 and GH370 102; Gauss-Hermite grids of at most
+24 nodes, uniform grids and the delta grid lose none.  This module owns
+what sweeps reuse: _generator builds the generator at rest and its
+elimination together, before any row runs, and keeps the last pair, so a
+sweep whose generator inputs and Doppler rates equal the last sweep's
+builds neither again and a stream of one-detuning requests at one
 operating point pays for one eigendecomposition each.  Rows are
 independent, so they are computed in this thread or on a pool of threads
-over detunings, which share the generator and its elimination, and a row
-does not depend on the worker count, on the detunings beside it or on
-whether the generator was kept.  A checkpoint holds the finished rows, so
-a resumed sweep computes only the others.
+over detunings, which only read that pair, and a row does not depend on
+the worker count, on the detunings beside it or on whether the pair was
+kept.  A checkpoint holds the finished rows, so a resumed sweep computes
+only the others.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .atomic import LevelScheme, TransitionTable
 from .errors import ConfigError, ModelError, SolverError
-from .liouville import (DecayNetwork, FieldSpec, Liouvillian,
-                        build_hamiltonian, steady_states, vectorize)
+from .liouville import (DecayNetwork, FieldSpec, _build_expansion,
+                        _velocity_average, build_hamiltonian, vectorize)
 from .names import CO, COUNTER
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
@@ -172,28 +173,32 @@ class SweepSpec:
                 raise ModelError(f"a sweep needs a {role} field")
 
 
-# The last generator _generator built and the key it was built for.
-_last_generator: tuple[tuple, Liouvillian] | None = None
+# The last (key, generator, elimination) _generator built.
+_last_generator: tuple | None = None
 
 
-def _generator(spec: SweepSpec) -> tuple[tuple, Liouvillian]:
-    """The spec's Liouvillian for an atom at rest, and the key it is kept
-    under; every cell of the sweep is this generator with its detunings
-    shifted.
+def _generator(spec: SweepSpec) -> tuple:
+    """(key, generator, elimination): the spec's Liouvillian for an atom at
+    rest, of which every cell of the sweep is a shift of the detunings, its
+    F elimination at the spec's Doppler rates (liouville._build_expansion,
+    None where the kernel declines), and the key both are kept under.
 
-    The last generator built is kept, and with it the F elimination kept
-    on it (Liouvillian._expansion), so a sweep whose generator inputs equal
-    the previous sweep's reuses the generator, and its elimination too at
-    the same Doppler rates.  The key is everything vectorize reads, by
+    The last entry built is kept, so a sweep whose key equals the previous
+    sweep's builds neither again.  The key is everything the two read, by
     content: the Hamiltonian at rest byte for byte (which covers the
     fields, the transitions and an in-place edit of the energy offsets),
-    the levels and tiers, and the decay network.  Only the last generator
-    is kept, and it keeps one elimination, so memory stays bounded."""
+    the levels and tiers, the decay network and the Doppler rates.  Only
+    one entry is kept, so memory stays bounded; a change of signal k or of
+    geometry builds the generator again with its elimination."""
     global _last_generator
+    pump, signal = spec.fields["pump"], spec.fields["signal"]
+    rates = doppler_shifts(1.0, spec.geometry, pump.k, signal.k)
     h = build_hamiltonian(spec.scheme, spec.transitions, spec.fields)
-    key = (h.tobytes(), spec.scheme.levels, spec.scheme.tiers, spec.network)
+    key = (h.tobytes(), spec.scheme.levels, spec.scheme.tiers, spec.network,
+           rates)
     if _last_generator is None or _last_generator[0] != key:
-        _last_generator = key, vectorize(h, spec.scheme, spec.network)
+        liou = vectorize(h, spec.scheme, spec.network)
+        _last_generator = key, liou, _build_expansion(liou, *rates)
     return _last_generator
 
 
@@ -213,16 +218,17 @@ def _solved_nodes(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(grid.velocities, dtype=float)[keep], w[keep]
 
 
-def _detuning_row(spec: SweepSpec, liou: Liouvillian,
+def _detuning_row(spec: SweepSpec, generator: tuple,
                   nodes: tuple[np.ndarray, np.ndarray], detuning: float
                   ) -> np.ndarray:
     """The Doppler-averaged (phi_plus, phi_minus, alpha_plus, alpha_minus)
-    row at one signal detuning, over the (velocities, weights) nodes.  The
-    response is linear in rho, so the velocity average of rho is mapped
-    once."""
-    pump, signal = spec.fields["pump"], spec.fields["signal"]
-    rho = steady_states(liou, detuning - signal.detuning, *nodes,
-                        doppler_shifts(1.0, spec.geometry, pump.k, signal.k))
+    row at one signal detuning, over the (velocities, weights) nodes, from
+    the _generator entry, which it only reads.  The response is linear in
+    rho, so the velocity average of rho is mapped once."""
+    (*_, rates), liou, ex = generator
+    signal = spec.fields["signal"]
+    rho = _velocity_average(liou, ex, detuning - signal.detuning, *nodes,
+                            rates)
     r = response_from_density(rho, spec.scheme, spec.transitions, signal,
                               spec.medium)
     return np.array(r.as_tuple())
@@ -236,9 +242,10 @@ def _fingerprint(spec: SweepSpec, generator_key: tuple) -> str:
     floats.  The generator enters by its _generator key (the Hamiltonian
     at rest, the levels, the tiers and the decay network), which it is
     built from and which is a few kB, not the generator itself (215 kB
-    for fig7-full)."""
+    for fig7-full); the key's Doppler rates follow from the geometry and
+    the fields, so they are left out and v5 digests are unchanged."""
     import hashlib      # here, not at the top: it slows CLI start-up
-    h_bytes, *structure = generator_key
+    h_bytes, *structure, _ = generator_key
     grid = spec.grid
     digest = hashlib.sha256(CHECKPOINT_FORMAT.encode())
     digest.update(spec.detunings.tobytes())
@@ -255,19 +262,23 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     """Doppler-averaged responses, one per signal detuning, each averaged
     over the velocity nodes _solved_nodes picks once for the sweep.
 
-    progress(done, total) counts detunings.  The pool has at most as many
-    worker threads as there are detunings to solve and CPUs this process
-    may run on; with one, the sweep runs in the calling thread.  Each row
-    is computed the same way whatever the worker count, so rows are
-    bit-identical across worker counts.  With a checkpoint path the
+    progress(done, total) counts detunings.  workers is an int >= 1 (not
+    a bool), else ModelError.  The pool has at most as many worker threads
+    as there are detunings to solve and CPUs this process may run on; with
+    one, the sweep runs in the calling thread.  Each row is computed the
+    same way whatever the worker count, so rows are bit-identical across
+    worker counts.  With a checkpoint path the
     finished rows are saved every 16 detunings and at the end, and a
     resumed sweep computes only the others; a checkpoint written for a
     different spec, or in another format, is ignored and the sweep is
     recomputed.  A checkpoint path holding a file numpy cannot read raises
     ConfigError, and the file is left as it is."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or \
+            workers < 1:
+        raise ModelError(f"workers must be an int >= 1, got {workers!r}")
     total = len(spec.detunings)
-    key, liou = _generator(spec)
-    fingerprint = _fingerprint(spec, key) if checkpoint else ""
+    generator = _generator(spec)
+    fingerprint = _fingerprint(spec, generator[0]) if checkpoint else ""
     rows = np.zeros((total, 4))
     done = 0
 
@@ -286,7 +297,7 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
             if progress:
                 progress(done, total)
 
-    row_at = partial(_detuning_row, spec, liou, _solved_nodes(spec.grid))
+    row_at = partial(_detuning_row, spec, generator, _solved_nodes(spec.grid))
     todo = spec.detunings[done:].tolist()
     workers = min(workers, len(todo), _cpu_count())
     if workers <= 1:
@@ -356,6 +367,11 @@ def write_sweep_csv(path: str, detunings: np.ndarray,
 
 
 def read_sweep_csv(path: str) -> tuple[np.ndarray, list[OpticalResponse]]:
+    """The detunings and responses of a sweep CSV.  A row that is not
+    CSV_HEADER's width of finite numbers (nan and inf included) is a
+    ModelError naming the file and line, and so is a file without rows."""
+    width = len(CSV_HEADER.split(","))
+    rows = []
     with open(path) as fh:
         magic = fh.readline().strip()
         if magic != CSV_MAGIC:
@@ -363,16 +379,23 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, list[OpticalResponse]]:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ModelError(f"unexpected sweep CSV columns in {path}")
-        try:
-            rows = np.array([[float(tok) for tok in line.split(",")]
-                             for line in fh if line.strip()])
-        except ValueError as exc:
-            raise ModelError(f"malformed sweep CSV row in {path}: {exc}") \
-                from exc
-    width = len(CSV_HEADER.split(","))
-    if rows.ndim != 2 or rows.shape[1] != width:
+        for number, line in enumerate(fh, 3):
+            if not line.strip():
+                continue
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ModelError(f"malformed sweep CSV row in {path} line "
+                                 f"{number}: {exc}") from exc
+            if len(row) != width or not all(map(math.isfinite, row)):
+                raise ModelError(f"sweep CSV {path} line {number}: expected "
+                                 f"{width} finite numbers, got "
+                                 f"{line.strip()!r}")
+            rows.append(row)
+    if not rows:
         raise ModelError(f"sweep CSV {path} has no data rows of {width} "
                          "columns")
+    rows = np.array(rows)
     detunings = rows[:, 0]
     responses = [OpticalResponse(*row[1:5]) for row in rows]
     return detunings, responses

@@ -18,18 +18,21 @@ directly, then restricts it to those a population reaches.
 one signal detuning, in real form: populations and the real and
 imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
-leaves fixed (F) are eliminated once per generator and geometry (a sweep
-keeps its generator across calls), and the rest (S) solve at every node
-from one eigendecomposition.  Each node is solved and checked once, and
-one refinement step is applied to the weighted average of the nodes that
-passed; a node that fails is solved by `steady_state` alone, and every
-node is when the generator has no unique steady state at rest or F cannot
-be eliminated.
+leaves fixed (F) are eliminated once per generator and Doppler rates, and
+the rest (S) solve at every node from one eigendecomposition.  This module
+keeps nothing between calls, and a Liouvillian does not change after
+`vectorize` returns it: `steady_states` builds its elimination on every
+call, and doppler.sweep, which keeps a generator and its elimination
+across sweeps, hands the elimination to `_velocity_average`.  Each node
+is solved and checked once, and one refinement step is applied to the
+weighted average of the nodes that passed; a node that fails is solved by
+`steady_state` alone, and every node is when the generator has no unique
+steady state at rest or F cannot be eliminated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -175,10 +178,6 @@ class Liouvillian:
     populations: np.ndarray
     d_pump: np.ndarray
     d_signal: np.ndarray
-    # [rates, expansion] for the last Doppler rates _expansion was asked
-    # for; not an init field, so dataclasses.replace starts a new one
-    _kept: list = field(default_factory=list, init=False, compare=False,
-                        repr=False)
 
     def to_vector(self, rho: np.ndarray) -> np.ndarray:
         return np.asarray(rho)[self.rows, self.cols].astype(complex)
@@ -187,18 +186,6 @@ class Liouvillian:
         rho = np.zeros((self.n_levels, self.n_levels), dtype=complex)
         rho[self.rows, self.cols] = x
         return rho
-
-    def _expansion(self, doppler) -> "_Expansion | None":
-        """The part of steady_states shared by every signal shift and
-        velocity (_build_expansion), None included, for the pair of Doppler
-        rates `doppler`.  The generator of a sweep outlives it
-        (doppler._generator), so the one for the last pair asked for is
-        kept, in _kept, which the threads of a pooled sweep share: threads
-        that find it missing may each build it, all to the same arrays."""
-        key = (float(doppler[0]), float(doppler[1]))
-        if not self._kept or self._kept[0] != key:
-            self._kept[:] = key, _build_expansion(self, *key)
-        return self._kept[1]
 
 
 class _Expansion(NamedTuple):
@@ -279,9 +266,11 @@ def vectorize(h: np.ndarray, scheme: LevelScheme,
         for tgt, rate in chans:
             m[slot[tgt, tgt], slot[src, src]] += rate
     # restricted here rather than built on the kept coordinates: freeing
-    # the full-size M raises glibc's malloc thresholds above the velocity
-    # kernel's temporaries, which are then reused, not mapped afresh on
-    # every call (tests/test_cli.py counts the page faults)
+    # the full-size M (1 MB on fig7-full) raises glibc's mmap and trim
+    # thresholds to 1 and 2 MB, above the velocity kernel's temporaries
+    # (at most 69 kB on GH200, 186 kB on a 200-node uniform grid), which
+    # are then reused, not faulted in afresh on every call
+    # (tests/test_cli.py counts the page faults)
     link = m != 0
     link |= link.T
     kept = rows == cols
@@ -381,9 +370,9 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     density it returns is Hermitian by construction; the entries of rho
     the generator leaves out (vectorize) are zero.  Velocity enters the
     generator only as v * D_v.  F, the coordinates D_v leaves fixed, is
-    eliminated once per generator and Doppler rates with the trace row
-    imposed (Liouvillian._expansion, and doppler.sweep keeps its generator,
-    so once across the sweeps of one scenario), leaving (S0 + shift *
+    eliminated with the trace row imposed (_build_expansion: about 1.6 ms
+    on fig7-full, which this call pays; a sweep builds it once for all its
+    rows and _velocity_average takes it), leaving (S0 + shift *
     D_signal + v * Delta) x_S = c on the others, S, where Delta is D_v on
     S and invertible.  One eigendecomposition Delta^-1 (S0 + shift *
     D_signal) = W B W^-1, in LAPACK's real eigenvector columns W (B block
@@ -409,9 +398,16 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     generator has no valid steady state.  The refined sum is mapped back
     to complex coordinates once.
     """
-    v = np.asarray(velocities, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    ex = liou._expansion(doppler)
+    return _velocity_average(liou, _build_expansion(liou, *doppler),
+                             signal_shift, np.asarray(velocities, dtype=float),
+                             np.asarray(weights, dtype=float), doppler)
+
+
+def _velocity_average(liou, ex, signal_shift, v, w, doppler) -> np.ndarray:
+    """steady_states over the float arrays v and w with its elimination
+    given: ex is _build_expansion(liou, *doppler), which the caller builds
+    once for every signal shift and set of nodes at these Doppler rates
+    and which is only read here."""
     out = np.zeros((liou.n_levels, liou.n_levels), dtype=complex)
     ok = np.zeros(len(v), dtype=bool)
     if ex is not None:

@@ -164,7 +164,7 @@ class SweepSettings:
     detuning_points: int
     geometry: str
     velocity_kind: str
-    velocity_points: int
+    velocity_points: int           # the grid's nodes: 1 for a delta grid
     temperature: float
     mass_amu: float
     span: float
@@ -174,6 +174,11 @@ class SweepSettings:
                            self.detuning_points if points is None else points)
 
     def grid(self, points: int | None = None) -> VelocityGrid:
+        if self.velocity_kind == "delta":
+            if points is not None:
+                raise ConfigError(f"{points} velocity points given for a "
+                                  "delta velocity grid, which has one node")
+            return VelocityGrid.delta(self.temperature, self.mass_amu)
         n = self.velocity_points if points is None else points
         if self.velocity_kind == "gauss_hermite":
             return VelocityGrid.gauss_hermite(n, self.temperature,
@@ -181,8 +186,6 @@ class SweepSettings:
         if self.velocity_kind == "uniform":
             return VelocityGrid.uniform(n, self.temperature, self.mass_amu,
                                         self.span)
-        if self.velocity_kind == "delta":
-            return VelocityGrid.delta(self.temperature, self.mass_amu)
         raise ConfigError(f"unknown velocity grid kind {self.velocity_kind!r}")
 
 
@@ -543,8 +546,11 @@ def _build_sweep(node) -> SweepSettings | None:
     thermal = {key: _get(vel, key, "sweep.velocity", _positive, default)
                for key, default in (("temperature_k", 403.0),
                                     ("mass_amu", 86.909), ("span", 4.0))}
-    points = _get(vel, "points", "sweep.velocity", _count,
-                  DEFAULT_VELOCITY_POINTS)
+    if kind == "delta" and "points" in vel:
+        raise ConfigError("sweep.velocity.points cannot be set for a delta "
+                          "grid, which has one node")
+    points = 1 if kind == "delta" else _get(
+        vel, "points", "sweep.velocity", _count, DEFAULT_VELOCITY_POINTS)
     if kind == "gauss_hermite" and points > MAX_GAUSS_HERMITE_NODES:
         raise ConfigError(f"sweep.velocity.points must be at most "
                           f"{MAX_GAUSS_HERMITE_NODES} for a gauss_hermite "

@@ -33,6 +33,23 @@ def test_validate_preset(capsys):
     assert code == 0
     assert "OK" in out
     assert "levels: 4" in out
+    # the delta grid's one node, which is what the sweep solves
+    assert "sweep: 241 detunings x 1 velocity (" in out
+
+
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp"])
+def test_velocity_points_for_a_delta_grid_exit_one_without_csv(
+        tmp_path, capsys, preset):
+    """--velocity-points on a preset whose velocity grid is delta is
+    refused in one error line, not ignored."""
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run(capsys, "sweep", "--preset", preset, "--points",
+                         "3", "--velocity-points", "50", "--out",
+                         str(out_csv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: 50 velocity points") and "delta" in err
+    assert len(err.splitlines()) == 1
+    assert not out_csv.exists()
 
 
 def test_solve_prints_populations_and_response(capsys):
@@ -205,25 +222,37 @@ def test_export_table1_process_loads_no_numpy():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts the minor page faults of glibc's malloc")
 def test_warm_one_detuning_requests_take_no_page_faults():
-    """Warm one-detuning fig7-full sweeps on the 200-node Gauss-Hermite
-    grid touch no new memory pages: the velocity kernel's temporaries (116
-    x 200 floats, 186 kB each) are reused from the heap, not mapped afresh
-    on every request.  That holds only while glibc's malloc thresholds sit
-    above their size, which the free of vectorize's full-size generator
-    (258 x 258 complex, 1 MB) brings about."""
+    """Warm one-detuning fig7-full sweeps touch no new memory pages, on the
+    preset's 200-node Gauss-Hermite grid (74 nodes solved, so the velocity
+    kernel's temporaries are at most 116 x 74 floats, 69 kB) and on a
+    200-node uniform grid (all 200 solved, 116 x 200 floats, 186 kB): the
+    temporaries are reused from the heap, not given back to the system and
+    faulted in afresh on every request.  That holds only while glibc's
+    dynamic malloc thresholds sit above them, which the free of
+    vectorize's full-size generator (258 x 258 complex, 1 MB) brings
+    about: it raises the mmap threshold to 1 MB and the trim threshold to
+    2 MB.  With the thresholds fixed at their 128 kB defaults
+    (MALLOC_MMAP_THRESHOLD_=131072, which also stops the trim threshold
+    moving), warm requests took 169-187 faults each on the Gauss-Hermite
+    grid and 648-705 on the uniform one, against at most 0.1 here."""
     out = fresh_python(
         "import dataclasses, resource\n"
         "import numpy as np\n"
-        "from vaporplate import load_preset, sweep\n"
+        "from vaporplate import VelocityGrid, load_preset, sweep\n"
         "spec = load_preset('fig7-full').sweep_spec(velocity_points=200)\n"
-        "def request(d):\n"
-        "    sweep(dataclasses.replace(spec, detunings=np.array([d])))\n"
-        "request(245.0)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "for d in np.linspace(230.0, 260.0, 50):\n"
-        "    request(float(d))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
-    assert int(out) <= 10 * 50
+        "for grid in (spec.grid, VelocityGrid.uniform(200)):\n"
+        "    def request(d):\n"
+        "        sweep(dataclasses.replace(spec, grid=grid,\n"
+        "                                  detunings=np.array([d])))\n"
+        "    request(245.0)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    for d in np.linspace(230.0, 260.0, 50):\n"
+        "        request(float(d))\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "          - before)")
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == 2
+    assert all(count <= 10 * 50 for count in faults), faults
 
 
 def test_lcr_at_an_extreme_detuning_prints_no_warning():
@@ -581,8 +610,9 @@ def test_missing_required_key_exits_one(tmp_path, capsys, edit, path):
     (_set("sweep", "velocity", "kind", "trapezoid"), "kind"),
     (_set("sweep", "detuning_stop", math.inf), "detuning_stop"),
     (_set("sweep", "velocity", "points", 800), "points"),
+    (_set("sweep", "velocity", "kind", "delta"), "velocity.points"),
 ], ids=["temperature-minus-1", "mass-0", "span-nan", "kind", "stop-inf",
-        "gauss-hermite-800"])
+        "gauss-hermite-800", "delta-points"])
 def test_validate_rejects_bad_sweep_settings(tmp_path, capsys, edit, key):
     code, out, err = run(capsys, "validate", "--scenario",
                          _reduced15_copy(tmp_path, edit))

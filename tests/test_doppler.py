@@ -1,6 +1,7 @@
 """Velocity grids, Doppler shifts, the per-cell solve of a sweep, sweeps,
 checkpointing, and the CSV interchange format."""
 
+import copy
 import dataclasses
 import math
 import sys
@@ -282,7 +283,7 @@ def test_refined_average_matches_dense_average(preset, geometry):
     spec = small_spec(scn, [-300.0, 10.0, 245.0],
                       grid=VelocityGrid.gauss_hermite(40), geometry=geometry)
     rows = np.array([r.as_tuple() for r in sweep(spec)])
-    _, liou = doppler._generator(spec)
+    _, liou, _ = doppler._generator(spec)
     pump, signal = spec.fields["pump"], spec.fields["signal"]
     want = []
     for d in spec.detunings:
@@ -312,7 +313,7 @@ def test_preset_grid_rows_match_the_dense_average_over_every_node(
     assert len(spec.grid.velocities) == 200
     assert len(doppler._solved_nodes(spec.grid)[0]) == 74
     rows = np.array([r.as_tuple() for r in sweep(spec)])
-    _, liou = doppler._generator(spec)
+    _, liou, _ = doppler._generator(spec)
     pump, signal = spec.fields["pump"], spec.fields["signal"]
     want = []
     for d in spec.detunings:
@@ -390,7 +391,7 @@ def test_singular_block_solves_every_node_densely(monkeypatch):
     """A LinAlgError in a detuning's eigendecomposition sends every node
     of that detuning to steady_state."""
     scn = load_preset("fig7-reduced15")
-    _, liou = doppler._generator(small_spec(scn, [0.0]))
+    _, liou, _ = doppler._generator(small_spec(scn, [0.0]))
     nodes, weights = np.array([-3.0, 0.5, 8.0]), np.array([0.3, 0.3, 0.4])
     rates = (-0.7, 0.4)
     shifts = np.array([1.0, 2.0])
@@ -543,12 +544,11 @@ def cold(monkeypatch):
 def builds(monkeypatch):
     """Counts the generators and eliminations sweeps build."""
     count = {"vectorize": 0, "_build_expansion": 0}
-    for module, name in ((doppler, "vectorize"),
-                         (liouville, "_build_expansion")):
-        def counted(*args, _build=getattr(module, name), _name=name):
+    for name in count:
+        def counted(*args, _build=getattr(doppler, name), _name=name):
             count[_name] += 1
             return _build(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(doppler, name, counted)
     return count
 
 
@@ -565,7 +565,7 @@ def test_kept_generator_rows_match_a_fresh_build(preset, geometry, cold):
     for spec in specs:
         cold()
         fresh.append(bits(sweep(spec)))
-    _, kept = doppler._generator(specs[-1])
+    _, kept, _ = doppler._generator(specs[-1])
     warm = [bits(sweep(spec)) for spec in specs]
     assert doppler._generator(specs[0])[1] is kept
     assert np.array_equal(warm, fresh)
@@ -632,35 +632,33 @@ def test_second_sweep_builds_neither_generator_nor_elimination(fig7, cold,
 
 
 def test_kept_eliminations_stay_within_the_cap(fig7, cold, builds):
-    """A scan over ten signal wavevectors keeps one generator (k is not in
-    it) and one elimination, that of the last Doppler rates: each new k
-    builds one, a second sweep at the same k builds none, and one that was
-    dropped is built again with the same rows."""
+    """A scan over ten signal wavevectors keeps one generator and its
+    elimination, those of the last Doppler rates (k is in the key): each
+    new k builds both, a second sweep at the same k builds neither, and one
+    that was dropped is built again with the same rows."""
     spec = small_spec(fig7, [245.0], grid=VelocityGrid.gauss_hermite(8))
     scan = [with_field(spec, "signal", k=k) for k in np.linspace(0.1, 0.2, 10)]
     rows = []
     for n, scanned in enumerate(scan, 1):
         rows.append(bits(sweep(scanned)))
-        assert builds == {"vectorize": 1, "_build_expansion": n}
+        assert builds == {"vectorize": n, "_build_expansion": n}
         assert np.array_equal(bits(sweep(scanned)), rows[-1])
-        assert builds == {"vectorize": 1, "_build_expansion": n}
-    assert doppler._generator(scan[-1])[1] is doppler._generator(spec)[1]
+        assert builds == {"vectorize": n, "_build_expansion": n}
     assert np.array_equal(bits(sweep(scan[0])), rows[0])
-    assert builds == {"vectorize": 1, "_build_expansion": 11}
+    assert builds == {"vectorize": 11, "_build_expansion": 11}
 
 
 def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
                                                          builds, monkeypatch):
-    """The worker threads share the sweep's generator and its elimination:
-    a cold two-worker sweep builds the elimination at most once per worker,
-    one after a serial sweep builds none, and the rows of both are
-    bit-identical to the serial sweep's."""
+    """The worker threads share the sweep's generator and its elimination,
+    which the sweep builds before any row runs: a cold two-worker sweep
+    builds each once, one after a serial sweep builds neither, and the rows
+    of both are bit-identical to the serial sweep's."""
     spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
                       grid=VelocityGrid.gauss_hermite(4))
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
     pooled_cold = bits(sweep(spec, workers=2))
-    assert builds["vectorize"] == 1
-    assert 1 <= builds["_build_expansion"] <= 2
+    assert builds == {"vectorize": 1, "_build_expansion": 1}
     cold()
     serial = bits(sweep(spec))
     built = dict(builds)
@@ -672,6 +670,36 @@ def test_pool_after_a_warm_serial_sweep_is_bit_identical(fig7, cold,
 # ---------------------------------------------------------------------------
 # Parallelism, checkpointing, CSV
 # ---------------------------------------------------------------------------
+
+def test_sweeps_leave_the_generator_unchanged(fig7, cold, monkeypatch):
+    """A Liouvillian holds its init fields and nothing else, and no sweep,
+    serial or pooled, and no steady_states call changes one of them: what
+    sweeps reuse is kept by doppler alone."""
+    declared = dataclasses.fields(liouville.Liouvillian)
+    fields = {f.name for f in declared if f.init}
+    assert fields == {f.name for f in declared}
+    spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
+                      grid=VelocityGrid.gauss_hermite(16))
+    _, liou, _ = doppler._generator(spec)
+    before = copy.deepcopy(vars(liou))
+    assert set(before) == fields
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    sweep(spec)
+    sweep(spec, workers=2)
+    steady_states(liou, 3.0, [-1.0, 2.0], [0.5, 0.5], (-0.1, 0.2))
+    assert doppler._generator(spec)[1] is liou
+    assert vars(liou).keys() == before.keys()
+    for name, value in before.items():
+        assert type(vars(liou)[name]) is type(value)
+        assert np.array_equal(vars(liou)[name], value), name
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, 2.5, True, "2", None])
+def test_worker_count_must_be_a_positive_int(fig7, workers):
+    spec = small_spec(fig7, [0.0])
+    with pytest.raises(ModelError, match="workers must be an int >= 1"):
+        sweep(spec, workers=workers)
+
 
 def test_sweep_worker_count_does_not_change_output(fig7):
     spec = small_spec(fig7, np.linspace(-40.0, 40.0, 6),
@@ -688,8 +716,8 @@ def test_worker_threads_match_serial_rows(preset, geometry, cold,
                                           monkeypatch):
     """Two worker threads give rows bit-identical to a serial sweep's on
     every sweep preset and both geometries, at rest and on a small grid,
-    whether they share the elimination a serial sweep kept or build it
-    themselves."""
+    whether they share the elimination a serial sweep kept or one the
+    pooled sweep built cold."""
     scn = load_preset(preset)
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
     for grid in (VelocityGrid.delta(), VelocityGrid.gauss_hermite(16)):
@@ -704,8 +732,8 @@ def test_worker_threads_match_serial_rows(preset, geometry, cold,
 def test_more_threads_than_cores_build_at_most_one_elimination_each(
         fig7, cold, builds, monkeypatch):
     """Eight worker threads switching every microsecond, from a cold start:
-    each builds the shared elimination at most once, the generator is
-    built once, and the rows are the serial sweep's."""
+    the generator and the elimination they share are built once, before
+    any row runs, and the rows are the serial sweep's."""
     spec = small_spec(fig7, np.linspace(-60.0, 250.0, 32))
     monkeypatch.setattr(doppler, "_cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
@@ -714,8 +742,7 @@ def test_more_threads_than_cores_build_at_most_one_elimination_each(
         pooled = bits(sweep(spec, workers=8))
     finally:
         sys.setswitchinterval(interval)
-    assert builds["vectorize"] == 1
-    assert 1 <= builds["_build_expansion"] <= 8
+    assert builds == {"vectorize": 1, "_build_expansion": 1}
     cold()
     assert np.array_equal(pooled, bits(sweep(spec)))
 
@@ -851,7 +878,7 @@ def velocity_major_fingerprint(spec):
     """The fingerprint of the velocity-major checkpoint format, which held
     a partial weighted sum over nodes ("acc") and the node count."""
     import hashlib
-    _, liou = doppler._generator(spec)
+    _, liou, _ = doppler._generator(spec)
     digest = hashlib.sha256(spec.detunings.tobytes())
     digest.update(repr((spec.geometry, spec.grid, sorted(spec.fields.items()),
                         spec.medium)).encode())
@@ -1014,6 +1041,22 @@ def test_csv_rejects_unexpected_columns(tmp_path):
     path.write_text(f"{magic}\n{header}\n{row}\n")
     with pytest.raises(ModelError, match="unexpected sweep CSV columns"):
         read_sweep_csv(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_fields(tmp_path, value):
+    """A sweep CSV field that reads as nan or inf is refused, naming the
+    file and the line, rather than read back as a response."""
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), np.array([0.0, 1.0]),
+                    [OpticalResponse(0.1, 0.2, 0.3, 0.4)] * 2)
+    magic, header, first, second = path.read_text().splitlines()
+    fields = second.split(",")
+    fields[1] = value
+    path.write_text("\n".join([magic, header, first, ",".join(fields)]))
+    with pytest.raises(ModelError, match="line 4: expected 7 finite") as exc:
+        read_sweep_csv(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_csv_rejects_header_only_and_malformed_rows(tmp_path):

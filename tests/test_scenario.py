@@ -111,6 +111,27 @@ def test_sweep_spec_overrides():
     assert len(spec.grid.velocities) == 4
 
 
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig8-qwp"])
+def test_delta_grid_has_one_node_and_takes_no_point_count(preset):
+    """A delta grid's settings count its one node, and a velocity point
+    count asked of it is a ConfigError, not ignored."""
+    scn = load_preset(preset)
+    assert scn.sweep.velocity_points == 1
+    assert len(scn.sweep_spec().grid.velocities) == 1
+    with pytest.raises(ConfigError, match="50 velocity points .* delta"):
+        scn.sweep_spec(velocity_points=50)
+
+
+def test_delta_grid_point_count_in_yaml_is_named(base_cfg):
+    cfg = mutated(base_cfg, ("sweep",), {
+        "detuning_start": -1.0, "detuning_stop": 1.0,
+        "velocity": {"kind": "delta", "points": 5}})
+    with pytest.raises(ConfigError, match=r"sweep\.velocity\.points .* delta"):
+        scenario_from_config(cfg)
+    del cfg["sweep"]["velocity"]["points"]
+    assert scenario_from_config(cfg).sweep.velocity_points == 1
+
+
 def test_scenario_without_sweep_cannot_build_spec(base_cfg):
     scn = scenario_from_config(copy.deepcopy(base_cfg))
     with pytest.raises(ConfigError, match="no sweep"):
