@@ -16,13 +16,21 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, VaporplateError
-from .names import CO, COUNTER, PRESETS
+from .names import CO, COUNTER, MAX_POINTS, PRESETS
 
 
 def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _point_count(text: str) -> int:
+    """A detuning or velocity point count, bounded as the scenario keys."""
+    n = _positive_int(text)
+    if n > MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_POINTS}, got {n}")
     return n
 
 
@@ -120,10 +128,6 @@ def cmd_lcr(args) -> int:
     from .doppler import sweep
     from .polarimetry import synthesize_scan
     scn = _get_scenario(args)
-    spec = scn.sweep_spec(geometry=args.geometry)
-    delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
-    (r,) = sweep(replace(spec, detunings=np.array([delta_s])))
-
     if args.voltages:
         thetas = scn.analyzer.calibration.theta(args.voltages)
         labels = [f"{v:g} V" for v in args.voltages]
@@ -131,6 +135,9 @@ def cmd_lcr(args) -> int:
         degs = args.thetas_deg or list(np.linspace(0.0, 180.0, 19))
         thetas = [math.radians(t) for t in degs]
         labels = [f"{t:g} deg" for t in degs]
+    spec = scn.sweep_spec(geometry=args.geometry)
+    delta_s = args.signal_detuning if args.signal_detuning is not None else 0.0
+    (r,) = sweep(replace(spec, detunings=np.array([delta_s])))
     e0 = args.e0 if args.e0 is not None else scn.analyzer.e0
     scan = synthesize_scan(r, thetas, e0)
     print(f"# delta_s = {delta_s:g}, phi_d = {math.degrees(r.phi_d):.4f} deg, "
@@ -233,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="worker threads, at most one per detuning and per "
                         "usable CPU (default 1)")
-    p.add_argument("--points", type=_positive_int,
+    p.add_argument("--points", type=_point_count,
                    help="override detuning count")
-    p.add_argument("--velocity-points", type=_positive_int)
+    p.add_argument("--velocity-points", type=_point_count)
     p.add_argument("--geometry", choices=(COUNTER, CO))
     p.add_argument("--pump-detuning", type=float, metavar="GAMMA_A")
     p.add_argument("--checkpoint", metavar="NPZ")

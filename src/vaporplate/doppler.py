@@ -243,7 +243,11 @@ def _fingerprint(spec: SweepSpec, generator_key: tuple) -> str:
     at rest, the levels, the tiers and the decay network), which it is
     built from and which is a few kB, not the generator itself (215 kB
     for fig7-full); the key's Doppler rates follow from the geometry and
-    the fields, so they are left out and v5 digests are unchanged."""
+    the fields, so they are left out.  The medium enters by its repr, so
+    its fields are part of the digest: when MediumParams lost omega_min
+    (the signal's Rabi frequency, which the fields already hold) every
+    digest changed once, and a checkpoint written before is recomputed,
+    not resumed."""
     import hashlib      # here, not at the top: it slows CLI start-up
     h_bytes, *structure, _ = generator_key
     grid = spec.grid

@@ -70,29 +70,35 @@ def overlap(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class MediumParams:
     """Cell and scaling parameters for converting coherences to phase and
-    attenuation.  Rates are in gamma_a units, lengths in cm."""
+    attenuation.  Rates are in gamma_a units, lengths in cm.
+
+    The rows are a susceptibility: response_from_density scales them by
+    beta(rabi), with rabi the signal's own Rabi frequency on its weakest
+    (a = 1) transition, so they do not fall with the signal.  The
+    wavelength is the signal's, which scenario takes from
+    fields.signal.wavelength_nm.
+
+    beta = 3 n gamma b_min_sq lambda^3 / (4 pi^2 rabi) is the
+    dipole-from-linewidth relation: gamma is a decay rate of the upper
+    level and b_min_sq the fraction of it in the weakest signal channel,
+    so gamma * b_min_sq is that transition's partial decay rate.  Both
+    are inputs, not derived from the decay network: fig1-ideal's upper
+    level decays through explicit channels only, which carry no branching
+    fraction, and fig7-full sets gamma 1.0 while its upper level decays
+    at decay.gamma_b = 0.6, so deriving gamma would change its rows."""
 
     n_atom: float               # atoms / cm^3
     length: float               # cm
     wavelength_nm: float        # signal wavelength
     gamma: float                # decay rate entering the beta prefactor
-    omega_min: float            # Rabi frequency of the weakest signal transition
     b_min_sq: float             # decay fraction of the weakest channel
 
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (
-                self.n_atom, self.length, self.wavelength_nm, self.gamma,
-                self.omega_min)):
+                self.n_atom, self.length, self.wavelength_nm, self.gamma)):
             raise ModelError("medium parameters must be finite and positive")
         if not 0 < self.b_min_sq <= 1:
             raise ModelError("b_min_sq must lie in (0, 1]")
-        try:
-            scale = self.k_cm * self.length * self.beta
-        except OverflowError:       # the cube of the wavelength
-            scale = math.inf
-        if not scale < math.inf:
-            raise ModelError("medium parameters overflow the response scale "
-                             "k * length * beta")
 
     @property
     def wavelength_cm(self) -> float:
@@ -102,11 +108,21 @@ class MediumParams:
     def k_cm(self) -> float:
         return 2.0 * math.pi / self.wavelength_cm
 
-    @property
-    def beta(self) -> float:
-        lam = self.wavelength_cm
-        return self.b_min_sq * 3.0 * self.n_atom * self.gamma * lam ** 3 \
-            / (4.0 * math.pi ** 2 * self.omega_min)
+    def beta(self, rabi: float) -> float:
+        """The response prefactor for a signal of Rabi frequency rabi; a
+        rabi that is not finite and > 0, or a k * length * beta that is not
+        finite, is a ModelError."""
+        try:
+            beta = self.b_min_sq * 3.0 * self.n_atom * self.gamma \
+                * self.wavelength_cm ** 3 / (4.0 * math.pi ** 2 * rabi)
+        except (OverflowError, ZeroDivisionError):  # lambda^3, or rabi 0
+            beta = math.inf
+        if not (0 < rabi < math.inf and
+                self.k_cm * self.length * beta < math.inf):
+            raise ModelError(
+                "the signal Rabi frequency must be finite and > 0 and the "
+                f"response scale k * length * beta finite, got rabi {rabi!r}")
+        return beta
 
 
 @dataclass(frozen=True)
@@ -141,7 +157,9 @@ def response_from_density(rho: np.ndarray, scheme: LevelScheme,
     polarization, referenced to the driving component's complex amplitude so
     the result is independent of the signal polarization phase.  With the
     rotating-frame convention used here, Im of the referenced sum is
-    positive for an absorbing medium.
+    positive for an absorbing medium.  The sums are scaled by
+    k * length * medium.beta(signal.rabi) / 2: the coherences grow with
+    the signal's Rabi frequency, and beta divides it out.
     """
     sums = {1: 0j, -1: 0j}
     counts = {1: 0, -1: 0}
@@ -153,6 +171,7 @@ def response_from_density(rho: np.ndarray, scheme: LevelScheme,
         sums[entry.q] += entry.strength * rho[il, iu]
         counts[entry.q] += 1
 
+    scale = medium.k_cm * medium.length * medium.beta(signal.rabi) / 2.0
     out = {}
     for q in (1, -1):
         eps = signal.component(q)
@@ -164,9 +183,7 @@ def response_from_density(rho: np.ndarray, scheme: LevelScheme,
                 f"signal drives sigma{'+' if q == 1 else '-'} but the scheme "
                 "has no transition of that polarization")
         ref = sums[q] / np.conjugate(eps)
-        kl = medium.k_cm * medium.length
-        out[q] = (kl * medium.beta / 2.0 * ref.real,
-                  kl * medium.beta * ref.imag / 2.0)
+        out[q] = (scale * ref.real, scale * ref.imag)
     (pp, ap), (pm, am) = out[1], out[-1]
     return OpticalResponse(pp, pm, ap, am)
 
@@ -224,8 +241,17 @@ class LcrCalibration:
             raise ModelError("calibration must be monotone in retardance")
 
     def theta(self, voltage) -> np.ndarray:
-        return np.interp(np.asarray(voltage, dtype=float),
-                         np.asarray(self.voltages), np.asarray(self.thetas))
+        """The retardance at each voltage; a voltage outside
+        [voltages[0], voltages[-1]] is a ModelError naming it, not the
+        retardance at the nearer end."""
+        v = np.asarray(voltage, dtype=float)
+        lo, hi = self.voltages[0], self.voltages[-1]
+        outside = v[~((v >= lo) & (v <= hi))]
+        if outside.size:
+            raise ModelError(f"LCR voltage {outside.flat[0]:g} V lies outside "
+                             f"the calibration's [{lo:g}, {hi:g}] V")
+        return np.interp(v, np.asarray(self.voltages),
+                         np.asarray(self.thetas))
 
 
 # Manufacturer-style default: retardance saturates near pi at low voltage and

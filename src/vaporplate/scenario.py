@@ -21,14 +21,10 @@ from .atomic import (DecayParams, LevelScheme, Manifold, SublevelId,
 from .doppler import MAX_GAUSS_HERMITE_NODES, SweepSpec, VelocityGrid
 from .errors import ConfigError
 from .liouville import DecayNetwork, FieldSpec
-from .names import CO, COUNTER, PRESETS
+from .names import CO, COUNTER, MAX_POINTS, PRESETS
 from .polarimetry import DEFAULT_LCR_CALIBRATION, LcrCalibration, MediumParams
 
 SCHEMA_VERSION = 1
-
-# Most detunings or velocity nodes a scenario may ask for; a larger count is
-# a typo (1e5 x 1e5 cells would take weeks), not a sweep.
-MAX_POINTS = 100_000
 
 VELOCITY_KINDS = ("gauss_hermite", "uniform", "delta")
 
@@ -274,7 +270,7 @@ def scenario_from_config(cfg: dict, name: str = "<config>") -> Scenario:
                                      scheme)
     network = _build_network(cfg["decay"], scheme, gamma_a_mhz)
     fields = _build_fields(cfg["fields"], gamma_a_mhz)
-    medium = _build_medium(cfg.get("medium"), scheme.decay)
+    medium = _build_medium(cfg.get("medium"), scheme, cfg["fields"], fields)
     sweep_settings = _build_sweep(cfg.get("sweep"))
     analyzer = _build_analyzer(cfg.get("analyzer"))
     return Scenario(label, gamma_a_mhz, scheme, transitions, network, fields,
@@ -507,18 +503,30 @@ def _build_fields(node, gamma_a_mhz) -> dict[str, FieldSpec]:
     return fields
 
 
-def _build_medium(node, decay: DecayParams) -> MediumParams | None:
+def _build_medium(node, scheme, fields_node, fields) -> MediumParams | None:
+    """The medium at the signal's wavelength, its response scale checked
+    at the signal's Rabi frequency (MediumParams.beta).  medium.omega_min
+    and medium.wavelength_nm, which restated the two, may still be given
+    with the signal's values."""
     if node is None:
         return None
-    _check_keys(node, {"n_atom_cm3", "length_cm", "wavelength_nm", "gamma",
-                       "omega_min", "b_min_sq"}, "medium")
-    return MediumParams(
+    _check_keys(node, {"n_atom_cm3", "length_cm", "gamma", "b_min_sq",
+                       "omega_min", "wavelength_nm"}, "medium")
+    lam = _get(fields_node.get("signal", {}), "wavelength_nm",
+               "fields.signal", _positive, 0.0)
+    for key, value, source in (("omega_min", fields["signal"].rabi, "rabi"),
+                               ("wavelength_nm", lam, "wavelength_nm")):
+        if (given := _get(node, key, "medium", _number, value)) != value:
+            raise ConfigError(f"medium.{key} {given!r} differs from fields."
+                              f"signal.{source} {value!r}: drop medium.{key}")
+    medium = MediumParams(
         n_atom=_get(node, "n_atom_cm3", "medium", _number),
         length=_get(node, "length_cm", "medium", _number),
-        wavelength_nm=_get(node, "wavelength_nm", "medium", _number, 1323.0),
-        gamma=_get(node, "gamma", "medium", _number, decay.gamma_b),
-        omega_min=_get(node, "omega_min", "medium", _number),
+        wavelength_nm=lam,
+        gamma=_get(node, "gamma", "medium", _number, scheme.decay.gamma_b),
         b_min_sq=_get(node, "b_min_sq", "medium", _number, 1.0 / 12.0))
+    medium.beta(fields["signal"].rabi)
+    return medium
 
 
 def _build_sweep(node) -> SweepSettings | None:

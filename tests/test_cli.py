@@ -19,7 +19,8 @@ from vaporplate import (COUNTER, OpticalResponse, VelocityGrid,
                         read_sweep_csv,
                         response_from_density, scenario_from_config,
                         steady_state, sweep, synthesize_scan, vectorize)
-from vaporplate.cli import main
+from vaporplate.cli import build_parser, main
+from vaporplate.names import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -303,6 +304,19 @@ def test_lcr_voltages_output(capsys):
         assert row[2] == f"{want:.8e}"
 
 
+@pytest.mark.parametrize("voltages, named", [
+    (["-3", "50"], "-3 V"), (["2", "50"], "50 V"), (["10.5"], "10.5 V")])
+def test_lcr_voltage_outside_the_calibration_exits_one(capsys, voltages,
+                                                       named):
+    """A voltage outside the calibration's [0, 10] V is one error line
+    naming it, not the retardance at the nearer end."""
+    code, out, err = run(capsys, "lcr", "--preset", "fig1-ideal",
+                         "--signal-detuning", "-50", "--voltages", *voltages)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_lcr_voltages_follow_the_scenario_calibration(tmp_path, capsys):
     """A scenario's analyzer.lcr_calibration and e0 map --voltages to
     retardances and intensities in place of the default calibration."""
@@ -401,6 +415,20 @@ def test_sweep_point_counts_must_be_positive(tmp_path, capsys):
                   str(tmp_path / "x.csv"), flag, "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_point_counts_stop_at_the_scenario_bound(tmp_path, capsys):
+    """--points and --velocity-points stop where the scenario keys do;
+    checked by parsing alone, so nothing is allocated."""
+    for flag in ("--points", "--velocity-points"):
+        argv = ["sweep", "--preset", "fig7-full", "--out",
+                str(tmp_path / "x.csv"), flag]
+        args = build_parser().parse_args(argv + [str(MAX_POINTS)])
+        assert MAX_POINTS in (args.points, args.velocity_points)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [str(MAX_POINTS + 1)])
+        assert exc.value.code == 2
+        assert f"must be <= {MAX_POINTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, where", [
@@ -590,12 +618,12 @@ def _delete(*keys):
 
 
 @pytest.mark.parametrize("edit, path", [
-    (_delete("medium", "omega_min"), "medium.omega_min"),
+    (_delete("medium", "length_cm"), "medium.length_cm"),
     (_delete("scheme", "manifolds", 2, "tier"), "scheme.manifolds[2].tier"),
     (_delete("scheme", "manifolds", 0, "label"),
      "scheme.manifolds[0].label"),
     (_delete("sweep", "detuning_start"), "sweep.detuning_start"),
-], ids=["omega-min", "tier", "label", "detuning-start"])
+], ids=["length-cm", "tier", "label", "detuning-start"])
 def test_missing_required_key_exits_one(tmp_path, capsys, edit, path):
     code, out, err = run(capsys, "validate", "--scenario",
                          _reduced15_copy(tmp_path, edit))
@@ -641,6 +669,27 @@ def test_scenario_without_velocity_points_sweeps(tmp_path, capsys):
     detunings, responses = read_sweep_csv(str(out_csv))
     assert code == 0 and len(responses) == 2
     assert all(np.all(np.isfinite(r.as_tuple())) for r in responses)
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep"])
+@pytest.mark.parametrize("edit, names", [
+    (_set("medium", "omega_min", 0.2), ("medium.omega_min",
+                                        "fields.signal.rabi")),
+    (_set("fields", "signal", "rabi", 0.0), ("signal Rabi frequency",)),
+], ids=["omega-min-0.2", "signal-rabi-0"])
+def test_signal_that_cannot_scale_the_medium_exits_one(tmp_path, capsys,
+                                                       command, edit, names):
+    """A medium.omega_min other than the signal's Rabi frequency, or a
+    signal Rabi frequency of 0 with a medium, is one error line naming
+    it, and no CSV."""
+    out_csv = tmp_path / "out.csv"
+    rest = ["--out", str(out_csv)] if command == "sweep" else []
+    code, out, err = run(capsys, command, "--scenario",
+                         _preset_copy(tmp_path, "fig1-ideal", edit), *rest)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(name in err for name in names)
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("role, argv", [
@@ -698,11 +747,14 @@ def test_solve_velocity_prints_the_dense_solve_at_its_shifts(tmp_path,
                                                               capsys, role):
     """solve --velocity prints the dense solve with that velocity's
     Doppler shifts in the scenario's geometry, k = 0 for a missing field;
-    with a pump, the shifts change what is printed."""
-    if role is None:
-        path = _preset_copy(tmp_path, "fig1-ideal", lambda cfg: None)
-    else:
-        path = _preset_copy(tmp_path, "fig1-ideal", _delete("fields", role))
+    with a pump, the shifts change what is printed.  A medium needs the
+    signal's wavelength, so it goes with the signal."""
+    def edit(cfg):
+        if role is not None:
+            del cfg["fields"][role]
+        if role == "signal":
+            del cfg["medium"]
+    path = _preset_copy(tmp_path, "fig1-ideal", edit)
     code, out, _ = run(capsys, "solve", "--scenario", path, "--velocity",
                        "60")
     assert code == 0

@@ -527,6 +527,116 @@ def test_half_grid_linearity(fig7):
 
 
 # ---------------------------------------------------------------------------
+# The closed-form ladder oracle for the Doppler average
+# ---------------------------------------------------------------------------
+
+# fig1-ideal's sweep has no thermal settings, so its grids take these
+LADDER_TEMPERATURE, LADDER_MASS_AMU = 403.0, 86.909
+LADDER_DETUNINGS = (-20.0, 0.0, 45.0)
+
+
+def weak_signal_ladder(equal_k=False):
+    """fig1-ideal with the signal's Rabi frequency at 1e-4, which keeps the
+    terms of second order in the signal below the oracle's bound; with
+    equal_k the signal has the pump's wavelength."""
+    cfg = yaml.safe_load(resources.files("vaporplate.data")
+                         .joinpath("fig1-ideal.yaml").read_text())
+    cfg["fields"]["signal"]["rabi"] = 1e-4
+    if equal_k:
+        cfg["fields"]["signal"]["wavelength_nm"] = \
+            cfg["fields"]["pump"]["wavelength_nm"]
+    return scenario_from_config(cfg)
+
+
+def ladder_coherence(delta_p, delta_s, rabi_p, b, gamma_e, gamma_u):
+    """rho[E+, U] of the ladder G -> E+ -> U to first order in the signal
+    coupling b = H[U, E+], in the package's rotating frame (H[E+, E+] =
+    -delta_p, H[U, U] = -delta_p - delta_s, H[E+, G] = rabi_p / 2).
+
+    First the two-level {G, E+} steady state under the pump, the
+    saturated form; then the 2x2 linear solve of d/dt (rho_UE, rho_UG) = 0,
+    whose dephasings are (gamma_e + gamma_u) / 2 and gamma_u / 2.  Works on
+    floats and on mpmath numbers."""
+    a = rabi_p / 2.0
+    rho_ee = a * a / (delta_p * delta_p + gamma_e * gamma_e / 4 + 2 * a * a)
+    rho_eg = 1j * a * (1 - 2 * rho_ee) / (1j * delta_p - gamma_e / 2)
+    m11, m12 = 1j * delta_s - (gamma_e + gamma_u) / 2, 1j * a
+    m21, m22 = 1j * a, 1j * (delta_p + delta_s) - gamma_u / 2
+    r1, r2 = 1j * b * rho_ee, 1j * b * rho_eg
+    rho_ue = (r1 * m22 - m12 * r2) / (m11 * m22 - m12 * m21)
+    return rho_ue.conjugate()
+
+
+def ladder_oracle(scn, delta_s, geometry, velocity=None):
+    """phi_minus + i alpha_minus of the weak-signal ladder at one signal
+    detuning: at one velocity, or averaged over the Maxwell distribution
+    by mpmath.quad, with the resonant velocity classes (one-photon pump and
+    signal, two-photon) as break points."""
+    import mpmath      # comes with sympy, in the test extra
+    pump, signal = scn.fields["pump"], scn.fields["signal"]
+    b = 0.5 * signal.rabi * signal.component(-1)    # H[U, E+], strength 1
+
+    def coherence(v):
+        s_p, s_s = doppler_shifts(v, geometry, pump.k, signal.k)
+        return ladder_coherence(pump.detuning + s_p, delta_s + s_s,
+                                pump.rabi, b, 1.0, 0.6)
+
+    if velocity is not None:
+        rho = coherence(velocity)
+    else:
+        sigma = thermal_rms_velocity(LADDER_TEMPERATURE, LADDER_MASS_AMU)
+        rate_p, rate_s = doppler_shifts(1.0, geometry, pump.k, signal.k)
+        breaks = sorted(-detuning / rate for detuning, rate in (
+            (pump.detuning, rate_p), (delta_s, rate_s),
+            (pump.detuning + delta_s, rate_p + rate_s)) if rate)
+        rho = complex(mpmath.quad(
+            lambda v: mpmath.npdf(v, 0, sigma) * coherence(v),
+            [-mpmath.inf, *breaks, mpmath.inf]))
+    medium = scn.medium
+    scale = medium.k_cm * medium.length * medium.beta(signal.rabi) / 2.0
+    return scale * rho / np.conjugate(signal.component(-1))
+
+
+def assert_matches_ladder_oracle(scn, spec, velocity=None):
+    """Each row's sigma- response within 1e-7 of the oracle, relative; the
+    sigma+ leg, whose lower level the pump leaves empty, within 1e-7 of
+    it too."""
+    for delta_s, r in zip(spec.detunings, sweep(spec)):
+        want = ladder_oracle(scn, delta_s, spec.geometry, velocity)
+        got = complex(r.phi_minus, r.alpha_minus)
+        assert abs(got - want) <= 1e-7 * abs(want), (delta_s, got, want)
+        assert abs(complex(r.phi_plus, r.alpha_plus)) <= 1e-7 * abs(want)
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+def test_weak_signal_ladder_at_rest_matches_the_oracle(geometry):
+    scn = weak_signal_ladder()
+    spec = small_spec(scn, LADDER_DETUNINGS, geometry=geometry)
+    assert_matches_ladder_oracle(scn, spec, velocity=0.0)
+
+
+@pytest.mark.parametrize("geometry, equal_k, nodes", [
+    (COUNTER, False, 4000),
+    (CO, False, 16000),
+    (COUNTER, True, 4000),
+], ids=["counter", "co", "counter-equal-k"])
+def test_weak_signal_ladder_average_matches_the_oracle(geometry, equal_k,
+                                                        nodes):
+    """The grid path's Maxwell average of the weak-signal ladder matches
+    the oracle's integral on a uniform grid over +-8 thermal RMS
+    velocities; with equal wavevectors, counter-propagating, the kernel
+    declines and every node is a dense solve.  Co-propagating, the
+    two-photon coherence is Doppler-narrow (half-width gamma_u / 2 /
+    (k_p + k_s), 0.86 m/s, about one node spacing of 4000 nodes), and
+    4000 nodes are up to 4.6e-4 off; 16000 are within 3.5e-9."""
+    scn = weak_signal_ladder(equal_k)
+    grid = VelocityGrid.uniform(nodes, LADDER_TEMPERATURE, LADDER_MASS_AMU,
+                                span=8.0)
+    spec = small_spec(scn, LADDER_DETUNINGS, grid=grid, geometry=geometry)
+    assert_matches_ladder_oracle(scn, spec)
+
+
+# ---------------------------------------------------------------------------
 # The generator kept across sweeps
 # ---------------------------------------------------------------------------
 

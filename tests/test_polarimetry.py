@@ -163,6 +163,17 @@ def test_lcr_calibration_anchors_and_triangular_scan():
     assert thetas[-1] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("voltage", [-3.0, 10.000001, [2.0, 50.0],
+                                     float("nan")])
+def test_lcr_calibration_refuses_voltages_outside_it(voltage):
+    """The calibration maps [0, 10] V, its ends included; a voltage
+    outside it is a ModelError, not the retardance at the nearer end."""
+    cal = DEFAULT_LCR_CALIBRATION
+    assert cal.theta([0.0, 10.0]) == pytest.approx([math.pi, 0.0])
+    with pytest.raises(ModelError, match="outside the calibration"):
+        cal.theta(voltage)
+
+
 def test_lcr_calibration_rejects_non_monotone():
     with pytest.raises(ModelError):
         LcrCalibration((0.0, 1.0, 2.0), (0.0, 1.0, 0.5))
@@ -444,23 +455,31 @@ def test_ideal_probe_state_circular_pump_rotates_by_half_phase():
 # ---------------------------------------------------------------------------
 
 def test_medium_params_reject_non_finite_values():
-    good = (1e12, 7.5, 1323.0, 1.0, 0.1, 1.0 / 12.0)
-    for k, bad in ((0, float("nan")), (1, float("inf")), (4, float("nan")),
+    """A non-finite parameter is refused when the medium is built; a
+    wavelength whose cube overflows, when beta scales a response."""
+    good = (1e12, 7.5, 1323.0, 1.0, 1.0 / 12.0)
+    for k, bad in ((0, float("nan")), (1, float("inf")), (3, float("nan")),
                    (2, 1e300)):
         args = list(good)
         args[k] = bad
         with pytest.raises(ModelError, match="finite|overflow"):
-            MediumParams(*args)
+            MediumParams(*args).beta(0.1)
 
 
 def test_medium_params_validation_and_beta():
+    """beta divides by the signal's Rabi frequency, which must be finite
+    and > 0."""
     with pytest.raises(ModelError):
-        MediumParams(0.0, 7.5, 1323.0, 1.0, 0.1, 1.0 / 12.0)
+        MediumParams(0.0, 7.5, 1323.0, 1.0, 1.0 / 12.0)
     with pytest.raises(ModelError):
-        MediumParams(1e12, 7.5, 1323.0, 1.0, 0.1, 1.5)
-    m = MediumParams(1e12, 7.5, 1323.0, 1.0, 0.1, 1.0 / 12.0)
+        MediumParams(1e12, 7.5, 1323.0, 1.0, 1.5)
+    m = MediumParams(1e12, 7.5, 1323.0, 1.0, 1.0 / 12.0)
     lam = 1323.0e-7
     expected = (1.0 / 12.0) * 3.0 * 1e12 * 1.0 * lam ** 3 \
         / (4.0 * math.pi ** 2 * 0.1)
-    assert m.beta == pytest.approx(expected, rel=1e-12)
+    assert m.beta(0.1) == pytest.approx(expected, rel=1e-12)
+    assert m.beta(0.05) == pytest.approx(2.0 * expected, rel=1e-12)
+    for rabi in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="signal Rabi frequency"):
+            m.beta(rabi)
     assert m.k_cm == pytest.approx(2.0 * math.pi / lam, rel=1e-12)

@@ -12,10 +12,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from vaporplate import (PRESETS, ConfigError, SublevelId, VaporplateError,
-                        VelocityGrid, build_hamiltonian, load_preset,
-                        load_scenario, scenario_from_config, steady_state,
-                        sweep, vectorize)
+from vaporplate import (PRESETS, ConfigError, ModelError, SublevelId,
+                        VaporplateError, VelocityGrid, build_hamiltonian,
+                        load_preset, load_scenario, scenario_from_config,
+                        steady_state, sweep, vectorize)
 from vaporplate.scenario import _freq
 
 
@@ -331,9 +331,100 @@ def test_medium_gamma_defaults_to_gamma_b(base_cfg):
     cfg = copy.deepcopy(base_cfg)
     cfg["decay"] = {"gamma_a": 1.0, "gamma_b": 0.6,
                     "explicit_channels": cfg["decay"]["explicit_channels"]}
-    cfg["medium"] = {"n_atom_cm3": 1e10, "length_cm": 7.5, "omega_min": 0.1}
+    cfg["medium"] = {"n_atom_cm3": 1e10, "length_cm": 7.5}
     scn = scenario_from_config(cfg)
     assert scn.medium.gamma == pytest.approx(0.6)
+
+
+# ---------------------------------------------------------------------------
+# The signal's Rabi frequency and wavelength have one source: the field
+# ---------------------------------------------------------------------------
+
+def test_medium_takes_the_signal_wavelength(base_cfg):
+    cfg = copy.deepcopy(base_cfg)
+    cfg["fields"]["signal"]["wavelength_nm"] = 1400.0
+    cfg["medium"] = {"n_atom_cm3": 1e10, "length_cm": 7.5}
+    assert scenario_from_config(cfg).medium.wavelength_nm == 1400.0
+
+
+def test_halving_the_signal_leaves_the_rows_a_susceptibility():
+    """fig7-full in gate 8's window on GH40: halving fields.signal.rabi,
+    and nothing else, moves the rows by the signal's own nonlinearity
+    (2.0% of their largest entry), not by half of them, as it would if
+    the response were scaled by a Rabi frequency the signal does not set."""
+    cfg = _preset_config("fig7-full")
+    rows = []
+    for rabi in (0.1, 0.05):
+        cfg["fields"]["signal"]["rabi"] = rabi
+        spec = replace(scenario_from_config(cfg).sweep_spec(
+            velocity_points=40), detunings=np.linspace(230.0, 260.0, 128))
+        rows.append(np.array([r.as_tuple() for r in sweep(spec)]))
+    full, half = rows
+    assert np.max(np.abs(half - full)) <= 0.05 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("name", ["fig1-ideal", "fig7-full"])
+def test_old_medium_keys_with_the_signal_values_give_the_same_rows(name):
+    """A scenario file that still gives medium.omega_min and
+    medium.wavelength_nm with the signal's values loads to the same medium
+    and sweeps to the same rows."""
+    cfg = _preset_config(name)
+    signal = cfg["fields"]["signal"]
+    cfg["medium"].update(omega_min=signal["rabi"],
+                         wavelength_nm=signal["wavelength_nm"])
+    old, new = scenario_from_config(cfg), load_preset(name)
+    assert old.medium == new.medium
+    rows = [sweep(replace(scn.sweep_spec(detuning_points=3),
+                          grid=VelocityGrid.gauss_hermite(5)))
+            for scn in (old, new)]
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("key, value, signal_key", [
+    ("omega_min", 0.2, "rabi"),
+    ("omega_min", math.nan, "rabi"),
+    ("wavelength_nm", 795.0, "wavelength_nm"),
+])
+def test_old_medium_key_that_differs_from_the_signal_is_named(key, value,
+                                                              signal_key):
+    cfg = _preset_config("fig1-ideal")
+    cfg["medium"][key] = value
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_config(cfg)
+    assert f"medium.{key}" in str(exc.value)
+    assert f"fields.signal.{signal_key}" in str(exc.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cfg: cfg["fields"].pop("signal"),
+    lambda cfg: cfg["fields"]["signal"].pop("wavelength_nm"),
+    lambda cfg: cfg["fields"]["signal"].update(wavelength_nm=0.0),
+], ids=["no-signal", "no-wavelength", "wavelength-0"])
+def test_medium_without_a_signal_wavelength_is_named(edit):
+    cfg = _preset_config("fig1-ideal")
+    edit(cfg)
+    with pytest.raises(ConfigError, match=r"fields\.signal\.wavelength_nm"):
+        scenario_from_config(cfg)
+    del cfg["medium"]
+    scenario_from_config(cfg)       # without a medium it is no error
+
+
+@pytest.mark.parametrize("rabi", [0.0, math.nan, math.inf])
+def test_medium_needs_a_finite_positive_signal_rabi_frequency(rabi):
+    cfg = _preset_config("fig1-ideal")
+    cfg["fields"]["signal"]["rabi"] = rabi
+    with pytest.raises(ModelError, match="signal Rabi frequency"):
+        scenario_from_config(cfg)
+
+
+def test_response_refuses_a_signal_without_rabi_frequency():
+    """A spec whose signal was set to Rabi frequency 0 after loading ends
+    in a ModelError, not in a ZeroDivisionError or NaN rows."""
+    spec = load_preset("fig1-ideal").sweep_spec(detuning_points=2)
+    fields = dict(spec.fields)
+    fields["signal"] = replace(fields["signal"], rabi=0.0)
+    with pytest.raises(ModelError, match="signal Rabi frequency"):
+        sweep(replace(spec, fields=fields))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +460,7 @@ _MUTATIONS = [(name, path, value)
 def test_mutated_preset_solves_to_finite_rows_or_raises(mutation):
     """One numeric leaf of a preset set to a bad value: the scenario loads,
     solves and sweeps (2 detunings, one velocity) to finite numbers, or a
-    VaporplateError says why not.  The 651 mutations are few enough that
+    VaporplateError says why not.  The 623 mutations are few enough that
     the search exhausts them."""
     name, path, value = mutation
     cfg = mutated(_PROPERTY_PRESETS[name], path, value)
