@@ -1,29 +1,44 @@
 """Thermal velocity averaging and the (detuning x velocity) sweep.
 
-The sweep is detuning-major: each row is one velocity average of the
-steady state (liouville.steady_states, with its elimination of the
-coordinates no Doppler shift moves given) at one signal detuning over the
-velocity nodes the sweep solves, all from one eigendecomposition.  Those
-nodes are picked once per sweep (_solved_nodes): the lightest nodes, as
-long as together they weigh at most eps/2 of the grid (eps the float64
-machine epsilon), are left out, and nodes of equal weight are left out
-together or not at all, so a symmetric grid stays symmetric.  Every
-steady state has unit trace, so |rho_ij| <= 1 and leaving them out moves
-each entry of the averaged rho by at most eps/2, the rounding of one O(1)
-addition; the rows are linear in that average.  A left-out node is
-neither solved nor checked, so it cannot raise SolverError.  GH200 solves
-74 of its 200 nodes, GH40 32 and GH370 102; Gauss-Hermite grids of at most
-24 nodes, uniform grids and the delta grid lose none.  This module owns
-what sweeps reuse: _generator builds the generator at rest and its
-elimination together, before any row runs, and keeps the last pair, so a
-sweep whose generator inputs and Doppler rates equal the last sweep's
-builds neither again and a stream of one-detuning requests at one
-operating point pays for one eigendecomposition each.  Rows are
-independent, so they are computed in this thread or on a pool of threads
-over detunings, which only read that pair, and a row does not depend on
-the worker count, on the detunings beside it or on whether the pair was
-kept.  A checkpoint holds the finished rows, so a resumed sweep computes
-only the others.
+Each row is one velocity average of the steady state at one signal
+detuning over the velocity nodes the sweep solves.  Those nodes are
+picked once per sweep (_solved_nodes): the lightest nodes, as long as
+together they weigh at most eps/2 of the grid (eps the float64 machine
+epsilon), are left out, and nodes of equal weight are left out together
+or not at all, so a symmetric grid stays symmetric.  Every steady state
+has unit trace, so |rho_ij| <= 1 and leaving them out moves each entry of
+the averaged rho by at most eps/2, the rounding of one O(1) addition; the
+rows are linear in that average.  A left-out node is neither solved nor
+checked, so it cannot raise SolverError.  GH200 solves 74 of its 200
+nodes, GH40 32 and GH370 102; Gauss-Hermite grids of at most 24 nodes,
+uniform grids and the delta grid lose none.
+
+A sweep picks its order once, from its whole spec (_node_major), so a
+resumed sweep takes the order of its uninterrupted run.  Detuning-major,
+the velocity is the pole variable: one eigendecomposition per detuning
+serves all its nodes (liouville._velocity_average).  Node-major, the
+detuning is: one eigendecomposition per node serves a block of
+NODE_MAJOR_BLOCK detunings (liouville._node_average).  One detuning is
+always detuning-major, so one-detuning requests keep their rows bit for
+bit.  A row inside a node-major sweep comes from other products than the
+same detuning swept alone and differs from it in the last bits: by at
+most 1.5e-13 of the largest row entry on the four sweep presets' own
+grids in both geometries (fig7-reduced15 co-propagating) and 2e-14 on
+their delta grids.
+
+This module owns what sweeps reuse: _generator builds the generator at
+rest and its elimination together, before any row runs, and keeps the
+last pair, so a sweep whose generator inputs and Doppler rates equal the
+last sweep's builds neither again and a stream of one-detuning requests
+at one operating point pays for one eigendecomposition each.  Work runs
+in this thread or on a pool of threads, which only read that pair: over
+detunings detuning-major and over nodes node-major, whose weighted cells
+are summed in node order, so a row does not depend on the worker count
+or on whether the pair was kept.  Within an order a row does not depend
+on the detunings beside it: a detuning-major row is solved alone, and
+node-major blocks start at multiples of NODE_MAJOR_BLOCK.  A checkpoint
+holds the finished rows, so a resumed sweep computes only the others; a
+node-major one solves the block holding its first unfinished row again.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ from __future__ import annotations
 import math
 import os
 import zipfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -39,7 +55,8 @@ import numpy as np
 from .atomic import LevelScheme, TransitionTable
 from .errors import ConfigError, ModelError, SolverError
 from .liouville import (DecayNetwork, FieldSpec, _build_expansion,
-                        _velocity_average, build_hamiltonian, vectorize)
+                        _node_average, _velocity_average, build_hamiltonian,
+                        vectorize)
 from .names import CO, COUNTER
 from .polarimetry import MediumParams, OpticalResponse, response_from_density
 
@@ -52,8 +69,18 @@ MAX_GAUSS_HERMITE_NODES = 370
 
 CSV_HEADER = "delta_s,phi_plus,phi_minus,alpha_plus,alpha_minus,phi_d_deg,alpha_d"
 CSV_MAGIC = "# vaporplate sweep CSV v1"
-# in the fingerprint, so a checkpoint of another format is never resumed
-CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v5: finished rows"
+# in the fingerprint, so a checkpoint of another format is never resumed;
+# v6 rows may come from node-major solves
+CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v6: finished rows"
+
+# Detunings a node-major sweep solves per eigendecomposition of each node:
+# fig7-full's own count, whose products stay below 0.5 MB a block.
+NODE_MAJOR_BLOCK = 512
+# The work around one eigendecomposition of size n, which costs n^3, in
+# the same units (_node_major): fitted to fig7-full's 1.44 ms per
+# detuning-major detuning (n = 68, 74 nodes) and 0.49 ms per node-major
+# node (n = 36), with one BLAS thread.
+POLE_OVERHEAD = 100_000
 
 
 def thermal_rms_velocity(temperature: float, mass_amu: float) -> float:
@@ -107,7 +134,11 @@ class VelocityGrid:
     @classmethod
     def uniform(cls, n: int, temperature: float = 403.0,
                 mass_amu: float = 86.909, span: float = 4.0) -> "VelocityGrid":
-        _check_nodes(n)
+        """n nodes from -span to +span thermal RMS velocities, n >= 2: one
+        node would sit at -span alone."""
+        if n < 2:
+            raise ModelError(f"a uniform velocity grid needs at least 2 "
+                             f"velocity points, got {n}")
         vr = thermal_rms_velocity(temperature, mass_amu)
         v = np.linspace(-span * vr, span * vr, n)
         w = np.exp(-0.5 * (v / vr) ** 2)
@@ -202,6 +233,20 @@ def _generator(spec: SweepSpec) -> tuple:
     return _last_generator
 
 
+def _node_major(detunings: int, nodes: int, s_size: int, n_size: int
+                ) -> bool:
+    """Whether a sweep of this many detunings and solved nodes takes the
+    detuning as its pole variable (node-major: one eigendecomposition of
+    the n_size pole matrix per node and block of NODE_MAJOR_BLOCK
+    detunings) rather than the velocity (detuning-major: one of the s_size
+    pole matrix per detuning), whichever costs less, counting
+    POLE_OVERHEAD + size^3 per eigendecomposition.  One detuning is always
+    detuning-major."""
+    blocks = -(-detunings // NODE_MAJOR_BLOCK)
+    return detunings > 1 and blocks * nodes * (POLE_OVERHEAD + n_size ** 3) \
+        < detunings * (POLE_OVERHEAD + s_size ** 3)
+
+
 def _solved_nodes(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
     """The velocities and weights of the nodes a sweep solves, as float
     arrays: every node heavier than t, the largest weight such that the
@@ -223,14 +268,28 @@ def _detuning_row(spec: SweepSpec, generator: tuple,
                   ) -> np.ndarray:
     """The Doppler-averaged (phi_plus, phi_minus, alpha_plus, alpha_minus)
     row at one signal detuning, over the (velocities, weights) nodes, from
-    the _generator entry, which it only reads.  The response is linear in
-    rho, so the velocity average of rho is mapped once."""
+    the _generator entry, which it only reads."""
     (*_, rates), liou, ex = generator
-    signal = spec.fields["signal"]
-    rho = _velocity_average(liou, ex, detuning - signal.detuning, *nodes,
-                            rates)
-    r = response_from_density(rho, spec.scheme, spec.transitions, signal,
-                              spec.medium)
+    return _row(spec, _velocity_average(
+        liou, ex, detuning - spec.fields["signal"].detuning, *nodes, rates))
+
+
+def _node_rows(spec: SweepSpec, generator: tuple,
+               nodes: tuple[np.ndarray, np.ndarray], detunings: np.ndarray,
+               mapper) -> list[np.ndarray]:
+    """_detuning_row at each detuning, node-major: one eigendecomposition
+    per node serves every detuning, and mapper maps over the nodes."""
+    (*_, rates), liou, ex = generator
+    rhos = _node_average(liou, ex, detunings - spec.fields["signal"].detuning,
+                         *nodes, rates, mapper)
+    return [_row(spec, rho) for rho in rhos]
+
+
+def _row(spec: SweepSpec, rho: np.ndarray) -> np.ndarray:
+    """The response is linear in rho, so the velocity average of rho is
+    mapped once."""
+    r = response_from_density(rho, spec.scheme, spec.transitions,
+                              spec.fields["signal"], spec.medium)
     return np.array(r.as_tuple())
 
 
@@ -266,17 +325,20 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     """Doppler-averaged responses, one per signal detuning, each averaged
     over the velocity nodes _solved_nodes picks once for the sweep.
 
-    progress(done, total) counts detunings.  workers is an int >= 1 (not
-    a bool), else ModelError.  The pool has at most as many worker threads
-    as there are detunings to solve and CPUs this process may run on; with
-    one, the sweep runs in the calling thread.  Each row is computed the
-    same way whatever the worker count, so rows are bit-identical across
-    worker counts.  With a checkpoint path the
+    progress(done, total) counts detunings, each reported once its row
+    exists: one by one detuning-major, a block at a time node-major.
+    workers is an int >= 1 (not a bool), else ModelError.  The pool has at
+    most as many worker threads as there are units of work (detunings to
+    solve detuning-major, nodes node-major) and CPUs this process may run
+    on; with one, the sweep runs in the calling thread.  Each row is
+    computed the same way whatever the worker count, so rows are
+    bit-identical across worker counts.  With a checkpoint path the
     finished rows are saved every 16 detunings and at the end, and a
-    resumed sweep computes only the others; a checkpoint written for a
-    different spec, or in another format, is ignored and the sweep is
-    recomputed.  A checkpoint path holding a file numpy cannot read raises
-    ConfigError, and the file is left as it is."""
+    resumed sweep computes only the others (node-major, the block holding
+    the first of them); a checkpoint written for a different spec, or in
+    another format, is ignored and the sweep is recomputed.  A checkpoint
+    path holding a file numpy cannot read raises ConfigError, and the file
+    is left as it is."""
     if isinstance(workers, bool) or not isinstance(workers, int) or \
             workers < 1:
         raise ModelError(f"workers must be an int >= 1, got {workers!r}")
@@ -301,14 +363,28 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
             if progress:
                 progress(done, total)
 
-    row_at = partial(_detuning_row, spec, generator, _solved_nodes(spec.grid))
+    nodes = _solved_nodes(spec.grid)
+    ex = generator[2]
+    node_major = ex is not None and _node_major(
+        total, len(nodes[0]), len(ex.p0),
+        np.count_nonzero(np.diagonal(ex.ratio)))
     todo = spec.detunings[done:].tolist()
-    workers = min(workers, len(todo), _cpu_count())
-    if workers <= 1:
-        collect(map(row_at, todo))
-    else:
-        with _pool(workers) as pool:
-            collect(pool.map(row_at, todo))
+    workers = min(workers, len(nodes[0]) if node_major and todo
+                  else len(todo), _cpu_count())
+    with _pool(workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool else map
+        if not node_major:
+            collect(mapper(partial(_detuning_row, spec, generator, nodes),
+                           todo))
+        elif todo:
+            # blocks start at multiples of NODE_MAJOR_BLOCK, so a resumed
+            # sweep solves the same blocks as an uninterrupted one
+            for lo in range(done - done % NODE_MAJOR_BLOCK, total,
+                            NODE_MAJOR_BLOCK):
+                block = _node_rows(spec, generator, nodes,
+                                   spec.detunings[lo:lo + NODE_MAJOR_BLOCK],
+                                   mapper)
+                collect(block[done - lo:])
 
     if not np.all(np.isfinite(rows)):
         raise SolverError("the Doppler-averaged response is not finite")

@@ -19,15 +19,20 @@ one signal detuning, in real form: populations and the real and
 imaginary parts of each coherence, so its densities are Hermitian by
 construction.  Velocity enters only as v * D_v: the coordinates D_v
 leaves fixed (F) are eliminated once per generator and Doppler rates, and
-the rest (S) solve at every node from one eigendecomposition.  This module
-keeps nothing between calls, and a Liouvillian does not change after
-`vectorize` returns it: `steady_states` builds its elimination on every
-call, and doppler.sweep, which keeps a generator and its elimination
-across sweeps, hands the elimination to `_velocity_average`.  Each node
-is solved and checked once, and one refinement step is applied to the
-weighted average of the nodes that passed; a node that fails is solved by
-`steady_state` alone, and every node is when the generator has no unique
-steady state at rest or F cannot be eliminated.
+the rest (S) solve as a system shifted in both the velocity and the
+signal detuning.  One eigendecomposition serves every value of its pole
+variable: every node at one detuning (`_velocity_average`,
+detuning-major) or, with the coordinates of S no signal shift moves
+eliminated at the node, every detuning at one node (`_node_average`,
+node-major).  Both orders share the real-basis pole algebra (`_poles`)
+and the per-cell checks and refinement residual (`_checked`).  This
+module keeps nothing between calls, and a Liouvillian does not change
+after `vectorize` returns it: `steady_states` builds its elimination on
+every call, and doppler.sweep, which keeps a generator and its
+elimination across sweeps, hands the elimination to either order.  Each
+cell is solved and checked once and refined once; a cell that fails is
+solved by `steady_state` alone, and every cell is when the generator has
+no unique steady state at rest or F cannot be eliminated.
 """
 
 from __future__ import annotations
@@ -379,7 +384,9 @@ def steady_states(liou: Liouvillian, signal_shift: float, velocities,
     diagonal), gives every node at once, x_S(v) = W (B + v)^-1 W^-1
     Delta^-1 c, and x_F = y - Z x_S (_expanded_states).  On fig7-full
     (counter-propagating) F and S hold 48 and 68 of the 116 real
-    coordinates.
+    coordinates.  This is the detuning-major order; a sweep of many
+    detunings may take the node-major one instead (_node_average), whose
+    rows agree with these to rounding.
 
     Each node is solved once, and its product A x, formed once, gives both
     its checks and the refinement's residual.  A node passes if its
@@ -418,13 +425,17 @@ def _velocity_average(liou, ex, signal_shift, v, w, doppler) -> np.ndarray:
         else:
             out[liou.rows, liou.cols] = ex.t @ x
     for b in np.flatnonzero(~ok):
-        try:
-            rho = steady_state(liou, doppler[0] * v[b],
-                               signal_shift + doppler[1] * v[b])
-        except SolverError as exc:
-            raise SolverError(f"{exc} at v={v[b]:g}") from exc
-        out += w[b] * rho
+        out += w[b] * _dense_cell(liou, signal_shift, v[b], doppler)
     return out
+
+
+def _dense_cell(liou, signal_shift, v, doppler) -> np.ndarray:
+    """steady_state at one cell; its SolverError names the node."""
+    try:
+        return steady_state(liou, doppler[0] * v,
+                            signal_shift + doppler[1] * v)
+    except SolverError as exc:
+        raise SolverError(f"{exc} at v={v:g}") from exc
 
 
 def _build_expansion(liou: Liouvillian, rate_p: float,
@@ -518,26 +529,72 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
             populations=np.flatnonzero(pop), t=t)
 
 
+def _poles(k: np.ndarray, p):
+    """(W, W^-1, solve_b) for the pole variable p, a row of values: K = W
+    B W^-1, and solve_b(g) = (B + p)^-1 g, one column per value of p.
+
+    W is LAPACK's real eigenvector columns: a conjugate pair of eigenvalues
+    a +- ib, b > 0, gives the columns Re and Im of the first one's
+    eigenvector, so K W = W B with B block diagonal, the 2x2 block [[a, b],
+    [-b, a]] per pair and a per real eigenvalue.  Column i's partner column
+    pair[i] (i itself for a real eigenvalue) and beta[i], the imaginary
+    part of eigenvalue i, give B u = a u + beta u[pair], and (B + p)^-1 g =
+    (alpha g - beta g[pair]) / (alpha^2 + beta^2), alpha = a + p: on a
+    pair, g[j] + i g[j+1] over the pole conj(lambda_j) + p.  Every array
+    is real.  A value of p on a real pole, or a non-finite one, gives a
+    non-finite column; a non-finite K raises LinAlgError."""
+    # real arrays when every eigenvalue is real, complex ones otherwise
+    lam, vec = np.linalg.eig(k)
+    beta = lam.imag
+    basis = np.where(beta < 0, -vec.imag, vec.real)
+    pair = np.arange(len(lam)) + np.sign(beta).astype(int)
+    alpha = lam.real[:, None] + p
+    scale = 1.0 / (alpha * alpha + (beta * beta)[:, None])
+    re, im = alpha * scale, beta[:, None] * scale
+
+    def solve_b(g):
+        return re * g - im * g[pair]
+    return basis, np.linalg.inv(basis), solve_b
+
+
+def _checked(ex: _Expansion, x: np.ndarray, shift, v):
+    """(ok, e_F, r_S) for the cells x, one per column, at signal shift
+    `shift` and velocity `v`, each a number or a row of one per column.
+
+    A x on the true generator, formed once per cell, gives both the checks
+    and the refinement's residual: with the trace row imposed, where A x -
+    b is the trace's error, it is e = A x - b.  ok says which cells passed:
+    a residual at most 1e-9, never looser than steady_state's bound, and
+    steady_state's trace and minimum-population bounds.  e_F is e on F,
+    and r_S = Delta^-1 (e_S - A_SF A_FF^-1 e_F) the right-hand side of the
+    refinement's S system, whose solution dx_S gives dx_F = A_FF^-1 e_F -
+    Z dx_S."""
+    n_f = ex.n_f
+    ax = ex.a @ x
+    ax[n_f:] += (ex.coef_s[n_f:, None] * shift
+                 + ex.coef_v[n_f:, None] * v) * x[ex.partner[n_f:]]
+    # |r_Re + i r_Im| is the complex residual of rho_ij
+    sq = ax * ax
+    resid_sq = np.max(sq + ex.paired * sq[ex.partner], axis=0)
+    pops = x[ex.populations]
+    trace = pops.sum(axis=0) - 1.0
+    ax[ex.trace_row] = trace
+    ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
+        (pops.min(axis=0) >= -1e-8)
+    return ok, ax[:n_f], (ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap] / ex.delta
+
+
 def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
                      w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, ok) for one signal shift: ok says which velocity nodes v passed
     the checks, and x is the weighted sum (weights w) of those that did, in
     real coordinates, with one refinement step.  Each node is solved
-    and checked once, from one eigendecomposition K = Delta^-1 (S0 + shift
-    D_signal).
-
-    The basis is LAPACK's real eigenvector columns W: a conjugate pair of
-    eigenvalues a +- ib, b > 0, gives the columns Re and Im of the first
-    one's eigenvector, so K W = W B with B block diagonal, the 2x2 block
-    [[a, b], [-b, a]] per pair and a per real eigenvalue.  Column i's
-    partner column pair[i] (i itself for a real eigenvalue) and beta[i],
-    the imaginary part of eigenvalue i, give B u = a u + beta u[pair], and
-    (B + v)^-1 g = (alpha g - beta g[pair]) / (alpha^2 + beta^2), alpha =
-    a + v: on a pair, g[j] + i g[j+1] over the pole conj(lambda_j) + v.
-    Every array is real.  A node on a real pole, or a non-finite input,
-    gives a non-finite column and fails the checks, and so does a node
-    whose shift or velocity overflows; a shift that makes K non-finite
-    raises LinAlgError, and steady_states solves every node densely.  So
+    and checked once (_checked), from one eigendecomposition K = Delta^-1
+    (S0 + shift D_signal) with the velocity as the pole variable (_poles).
+    A node on a real pole, or a non-finite input, gives a non-finite
+    column and fails the checks, and so does a node whose shift or
+    velocity overflows; a shift that makes K non-finite raises
+    LinAlgError, and steady_states solves every node densely.  So
     floating-point errors are not reported here.
 
     The refinement step, A dx = b - A x through the elimination, is
@@ -547,41 +604,13 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
     weight 0."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         n_f = ex.n_f
-        # real arrays when every eigenvalue is real, complex ones otherwise
-        lam, vec = np.linalg.eig(ex.p0 + shift * ex.ratio)
-        beta = lam.imag
-        basis = np.where(beta < 0, -vec.imag, vec.real)
-        basis_inv = np.linalg.inv(basis)
-        pair = np.arange(len(lam)) + np.sign(beta).astype(int)
-        alpha = lam.real[:, None] + v
-        scale = 1.0 / (alpha * alpha + (beta * beta)[:, None])
-        re, im = alpha * scale, beta[:, None] * scale
-
-        def solve_b(g):     # (B + v)^-1 g per node
-            return re * g - im * g[pair]
-
+        basis, basis_inv, solve_b = _poles(ex.p0 + shift * ex.ratio, v)
         x = np.empty((len(ex.a), len(v)))
         x[n_f:] = basis @ solve_b(basis_inv @ ex.dc)
         x[:n_f] = ex.y - ex.z @ x[n_f:]
-        # A x once per node, on the true generator, is the check's
-        # residual; with the trace row imposed, where A x - b is the trace's
-        # error, it is e = A x - b, the refinement's
-        ax = ex.a @ x
-        ax[n_f:] += (shift * ex.coef_s[n_f:, None]
-                     + np.multiply.outer(ex.coef_v[n_f:], v)) * \
-            x[ex.partner[n_f:]]
-        # |r_Re + i r_Im| is the complex residual of rho_ij
-        sq = ax * ax
-        resid_sq = np.max(sq + ex.paired * sq[ex.partner], axis=0)
-        pops = x[ex.populations]
-        trace = pops.sum(axis=0) - 1.0
-        ax[ex.trace_row] = trace
+        ok, e_f, r_s = _checked(ex, x, shift, v)
         # the refinement's solve per node, short of W and the sum
-        u = solve_b(basis_inv @ ((ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap]
-                                 / ex.delta))
-        ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
-            (pops.min(axis=0) >= -1e-8)
-        e_f = ax[:n_f]
+        u = solve_b(basis_inv @ r_s)
         if not ok.all():        # selecting copies, so only when a node failed
             x, e_f, u, w = x[:, ok], e_f[:, ok], u[:, ok], w[ok]
         # with e = A x - b the step is x -= A^-1 e, on S W (u @ w)
@@ -590,6 +619,106 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
         x[n_f:] -= step_s
         x[:n_f] -= ex.w_ff @ (e_f @ w) - ex.z @ step_s
         return x, ok
+
+
+class _NodeSplit(NamedTuple):
+    """S split for node-major solves: Z, where Delta^-1 D_signal is zero
+    (the coherences no signal shift moves), and N, the others.  Indices
+    and blocks are into S, whose system is (P + s R + v) x_S = c with P =
+    ex.p0, R = ex.ratio and c = ex.dc."""
+
+    fixed: np.ndarray       # Z
+    moved: np.ndarray       # N
+    p_zz: np.ndarray
+    zn_rhs: np.ndarray      # [P_ZN | 1]
+    p_nz: np.ndarray
+    p_nn: np.ndarray
+    r_inv: np.ndarray       # R_N^-1, a column
+
+
+def _node_split(ex: _Expansion) -> _NodeSplit:
+    r = np.diagonal(ex.ratio)
+    fixed, moved = np.flatnonzero(r == 0), np.flatnonzero(r)
+    p = ex.p0
+    return _NodeSplit(
+        fixed, moved, p[np.ix_(fixed, fixed)],
+        np.column_stack([p[np.ix_(fixed, moved)], np.eye(len(fixed))]),
+        p[np.ix_(moved, fixed)], p[np.ix_(moved, moved)],
+        1.0 / r[moved, None])
+
+
+def _node_states(ex: _Expansion, split: _NodeSplit, shifts: np.ndarray,
+                 v: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x, ok) at one velocity node v, one column per signal shift: x is
+    each cell's solution in real coordinates after one refinement step,
+    and ok says which cells passed the checks (_checked).
+
+    The signal shift enters S only through R, which is zero on Z, so with
+    Z eliminated at this node, G(v) = R_N^-1 (P_NN + v - P_NZ (P_ZZ +
+    v)^-1 P_ZN), x_N = (G + s)^-1 R_N^-1 (c_N - P_NZ (P_ZZ + v)^-1 c_Z) for
+    every shift s from one eigendecomposition of G, with the shift as the
+    pole variable (_poles), and x_Z = (P_ZZ + v)^-1 (c_Z - P_ZN x_N).  The
+    refinement step solves each cell's residual through the same
+    decomposition.  A singular P_ZZ + v or a non-finite G raises
+    LinAlgError; a cell on a real pole, or one whose shift overflows,
+    gives a non-finite column and fails the checks."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n_f, fixed, moved = ex.n_f, split.fixed, split.moved
+        sol = np.linalg.solve(split.p_zz + v * np.eye(len(fixed)),
+                              split.zn_rhs)
+        zn, zz_inv = sol[:, :len(moved)], sol[:, len(moved):]
+        basis, basis_inv, solve_b = _poles(
+            (split.p_nn + v * np.eye(len(moved)) - split.p_nz @ zn)
+            * split.r_inv, shifts)
+
+        def solve_s(rhs):       # (P + s R + v)^-1 rhs per shift s
+            z0 = zz_inv @ rhs[fixed]
+            out = np.empty((len(rhs), len(shifts)))
+            out[moved] = basis @ solve_b(
+                basis_inv @ ((rhs[moved] - split.p_nz @ z0) * split.r_inv))
+            out[fixed] = z0 - zn @ out[moved]
+            return out
+
+        x = np.empty((len(ex.a), len(shifts)))
+        x[n_f:] = solve_s(ex.dc)
+        x[:n_f] = ex.y - ex.z @ x[n_f:]
+        ok, e_f, r_s = _checked(ex, x, shifts, v)
+        step_s = solve_s(r_s)
+        x[n_f:] -= step_s
+        x[:n_f] -= ex.w_ff @ e_f - ex.z @ step_s
+        return x, ok
+
+
+def _node_average(liou: Liouvillian, ex: _Expansion, shifts: np.ndarray,
+                  v: np.ndarray, w: np.ndarray, doppler, mapper=map
+                  ) -> np.ndarray:
+    """The velocity averages at the signal shifts, node-major: (len(shifts),
+    n, n), row j what _velocity_average(liou, ex, shifts[j], v, w,
+    doppler) gives to rounding.  Each node's cells are solved from one
+    eigendecomposition (_node_states), mapper maps over the nodes (map, or
+    a pool's), and the weighted cells that passed are summed in node
+    order, so the sum does not depend on the mapper.  A cell that fails,
+    and every cell of a node whose elimination or eigendecomposition
+    raises LinAlgError, is solved by steady_state alone."""
+    split = _node_split(ex)
+
+    def node(vb):
+        try:
+            return _node_states(ex, split, shifts, vb)
+        except np.linalg.LinAlgError:
+            return None, np.zeros(len(shifts), dtype=bool)
+
+    total = np.zeros((len(ex.a), len(shifts)))
+    failed = []
+    for wb, (x, ok) in zip(w, mapper(node, v.tolist())):
+        if ok.any():
+            total += wb * np.where(ok, x, 0.0)
+        failed.append(~ok)
+    out = np.zeros((len(shifts), liou.n_levels, liou.n_levels), dtype=complex)
+    out[:, liou.rows, liou.cols] = (ex.t @ total).T
+    for j, b in zip(*np.nonzero(np.transpose(failed))):
+        out[j] += w[b] * _dense_cell(liou, shifts[j], v[b], doppler)
+    return out
 
 
 def _raise_nonunique(m: np.ndarray, resid: float | None = None):

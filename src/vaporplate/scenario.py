@@ -559,6 +559,9 @@ def _build_sweep(node) -> SweepSettings | None:
                           "grid, which has one node")
     points = 1 if kind == "delta" else _get(
         vel, "points", "sweep.velocity", _count, DEFAULT_VELOCITY_POINTS)
+    if kind == "uniform" and points < 2:
+        raise ConfigError(f"sweep.velocity.points must be at least 2 for a "
+                          f"uniform grid, got {points}")
     if kind == "gauss_hermite" and points > MAX_GAUSS_HERMITE_NODES:
         raise ConfigError(f"sweep.velocity.points must be at most "
                           f"{MAX_GAUSS_HERMITE_NODES} for a gauss_hermite "

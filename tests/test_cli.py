@@ -658,6 +658,22 @@ def test_validate_accepts_many_uniform_velocity_points(tmp_path, capsys):
     assert code == 0 and "x 800 velocities" in out
 
 
+def test_one_uniform_velocity_point_exits_one(tmp_path, capsys):
+    """--velocity-points 1 on a uniform grid would sweep one atom at -span
+    thermal velocities: exit 1 with one line, and no CSV."""
+    def edit(cfg):
+        cfg["sweep"]["velocity"] = {"kind": "uniform", "points": 7}
+    path = _preset_copy(tmp_path, "fig1-ideal", edit)
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--scenario", path, "--out",
+                         str(out_csv), "--points", "3",
+                         "--velocity-points", "1")
+    assert code == 1 and out == ""
+    assert err == ("error: a uniform velocity grid needs at least 2 "
+                   "velocity points, got 1\n")
+    assert not out_csv.exists()
+
+
 def test_scenario_without_velocity_points_sweeps(tmp_path, capsys):
     """The default velocity count is one the default grid can build."""
     path = _reduced15_copy(tmp_path, _delete("sweep", "velocity", "points"))

@@ -87,6 +87,16 @@ def test_velocity_grid_rejects_bad_thermal_parameters():
                 make(n, temperature, mass)
 
 
+def test_uniform_grid_needs_two_points():
+    """One uniform node would sit at -span thermal velocities (-785 m/s at
+    403 K) with weight 1."""
+    for n in (1, 0, -2):
+        with pytest.raises(ModelError, match="at least 2 velocity points"):
+            VelocityGrid.uniform(n)
+    assert VelocityGrid.uniform(2).velocities == pytest.approx(
+        (-4.0 * 196.4, 4.0 * 196.4), rel=2e-3)
+
+
 EPS = np.finfo(float).eps
 
 
@@ -524,6 +534,237 @@ def test_half_grid_linearity(fig7):
     spec = small_spec(fig7, [25.0], grid=full)
     whole = np.asarray(sweep(spec)[0].as_tuple())
     assert np.max(np.abs(whole - combined)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Node-major sweeps
+# ---------------------------------------------------------------------------
+
+def pole_sizes(spec):
+    """The two pole-matrix sizes the order rule compares: S, and N, the
+    coordinates of S the signal shift moves."""
+    ex = doppler._generator(spec)[2]
+    return len(ex.p0), np.count_nonzero(np.diagonal(ex.ratio))
+
+
+def node_major(spec):
+    return doppler._node_major(len(spec.detunings),
+                               len(doppler._solved_nodes(spec.grid)[0]),
+                               *pole_sizes(spec))
+
+
+def dense_average_rows(spec):
+    """The weighted average of dense per-cell solves over every node of the
+    spec's grid, one row per detuning."""
+    _, liou, _ = doppler._generator(spec)
+    pump, signal = spec.fields["pump"], spec.fields["signal"]
+    want = []
+    for d in spec.detunings:
+        rho = 0.0
+        for v, w in zip(spec.grid.velocities, spec.grid.weights):
+            shift_p, shift_s = doppler_shifts(v, spec.geometry, pump.k,
+                                              signal.k)
+            rho = rho + w * steady_state(liou, shift_p,
+                                         d - signal.detuning + shift_s)
+        want.append(response_from_density(rho, spec.scheme, spec.transitions,
+                                          signal, spec.medium).as_tuple())
+    return np.array(want)
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_node_major_rows_match_dense_average(preset, geometry, monkeypatch):
+    """On a shape the order rule sends node-major (16 detunings x GH12),
+    the rows match the weighted average of dense per-cell solves to 1e-12
+    of the largest row entry, and no cell needs the dense fallback."""
+    spec = small_spec(load_preset(preset), np.linspace(-300.0, 300.0, 16),
+                      grid=VelocityGrid.gauss_hermite(12), geometry=geometry)
+    assert node_major(spec)
+    want = dense_average_rows(spec)
+    monkeypatch.setattr(liouville, "steady_state", no_dense_fallback)
+    rows = np.array([r.as_tuple() for r in sweep(spec)])
+    assert np.max(np.abs(rows - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+@pytest.mark.parametrize("preset", SWEEP_PRESETS)
+def test_node_major_rows_match_each_detuning_swept_alone(preset, geometry):
+    """A detuning swept alone is detuning-major; inside a node-major sweep
+    its row comes from other products and differs in the last bits, by at
+    most 1e-12 of the largest row entry, on the delta grid as on GH40."""
+    scn = load_preset(preset)
+    for grid in (VelocityGrid.delta(), VelocityGrid.gauss_hermite(40)):
+        spec = small_spec(scn, np.linspace(-600.0, 600.0, 48), grid=grid,
+                          geometry=geometry)
+        assert node_major(spec)
+        rows = np.array([r.as_tuple() for r in sweep(spec)])
+        alone = np.array([sweep(dataclasses.replace(
+            spec, detunings=np.array([d])))[0].as_tuple()
+            for d in spec.detunings])
+        assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+# the fig7-full counter-propagating shapes whose faster order was measured
+# (OPENBLAS_NUM_THREADS=1, 2-core Xeon): node-major from 32 detunings on
+# GH200, whose sweep solves 74 nodes
+ORDER_TABLE = [
+    (1, 74, False), (8, 74, False), (16, 74, False), (24, 74, False),
+    (32, 74, True), (48, 74, True), (128, 74, True), (512, 74, True),
+    (8, 28, False),         # GH32
+    (61, 800, False),       # gate 9's uniform(800)
+    (241, 1, True),         # the delta grid
+]
+
+
+def test_order_rule_on_the_shape_table(fig7):
+    """The rule picks the order measured faster on each shape of the table,
+    from fig7-full's pole sizes, 68 for S and 36 for N; one detuning is
+    always detuning-major."""
+    sizes = pole_sizes(small_spec(fig7, [0.0]))
+    assert sizes == (68, 36)
+    for detunings, nodes, want in ORDER_TABLE:
+        assert doppler._node_major(detunings, nodes, *sizes) == want, \
+            (detunings, nodes)
+    for nodes in (1, 2, 1000):
+        assert not doppler._node_major(1, nodes, 68, 0)
+
+
+def test_node_major_pool_is_bit_identical_to_serial(fig7, cold, monkeypatch):
+    """A pooled node-major sweep maps over the nodes and sums them in node
+    order: two workers give the serial rows bit for bit, cold or sharing a
+    kept elimination."""
+    spec = small_spec(fig7, np.linspace(-300.0, 300.0, 48),
+                      grid=VelocityGrid.gauss_hermite(40))
+    assert node_major(spec)
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    serial = bits(sweep(spec))
+    assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+    cold()
+    assert np.array_equal(bits(sweep(spec, workers=2)), serial)
+
+
+@pytest.mark.parametrize("block, stop, seen", [
+    (512, 20, range(17, 41)),   # resumed at 16, inside the only block
+    (32, 20, range(17, 41)),    # resumed at 16, inside the first block
+    (32, 36, range(33, 41)),    # resumed at 32, where a block starts
+])
+def test_node_major_resume_matches_uninterrupted(fig7, tmp_path, monkeypatch,
+                                                 block, stop, seen):
+    """A node-major sweep solves blocks of NODE_MAJOR_BLOCK detunings that
+    start at multiples of it, so a resumed sweep solves the block holding
+    its first unfinished row again: its rows are bit-identical to an
+    uninterrupted run, and progress reports only the unfinished ones."""
+    monkeypatch.setattr(doppler, "NODE_MAJOR_BLOCK", block)
+    spec = small_spec(fig7, np.linspace(-300.0, 300.0, 40),
+                      grid=VelocityGrid.gauss_hermite(16))
+    assert node_major(spec)
+    ck = str(tmp_path / "sweep.ckpt.npz")
+
+    def interrupt(done, total):
+        if done == stop:
+            raise Interrupt
+    with pytest.raises(Interrupt):
+        sweep(spec, progress=interrupt, checkpoint=ck)
+    reported = []
+    resumed = sweep(spec, checkpoint=ck,
+                    progress=lambda done, total: reported.append(done))
+    assert reported == list(seen)
+    assert np.array_equal(bits(resumed), bits(sweep(spec)))
+
+
+def test_finished_node_major_checkpoint_solves_nothing(
+        fig7, tmp_path, monkeypatch, recording_pool):
+    """Resuming a finished node-major sweep solves no node and starts no
+    pool: its rows come from the checkpoint."""
+    spec = small_spec(fig7, np.linspace(-300.0, 300.0, 40),
+                      grid=VelocityGrid.gauss_hermite(16))
+    assert node_major(spec)
+    ck = str(tmp_path / "sweep.ckpt.npz")
+    reference = bits(sweep(spec, checkpoint=ck))
+
+    def no_solve(*args):
+        raise AssertionError("a finished sweep solved a node")
+    monkeypatch.setattr(liouville, "_node_states", no_solve)
+    monkeypatch.setattr(doppler, "_cpu_count", lambda: 2)
+    reported = []
+    resumed = sweep(spec, workers=2, checkpoint=ck,
+                    progress=lambda done, total: reported.append(done))
+    assert reported == [] and recording_pool.sizes == []
+    assert np.array_equal(bits(resumed), reference)
+
+
+def node_major_dense_cells(spec, monkeypatch, inject):
+    """The cells a node-major sweep of spec sends to steady_state while
+    inject is in place, and its rows."""
+    calls = []
+    dense = liouville.steady_state
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        calls.append((pump_shift, signal_shift))
+        return dense(liou, pump_shift, signal_shift)
+    with monkeypatch.context() as patch:
+        inject(patch)
+        patch.setattr(liouville, "steady_state", record)
+        rows = np.array([r.as_tuple() for r in sweep(spec)])
+    return calls, rows
+
+
+def node_cells(spec, node):
+    """The (pump, signal) shifts of one node's cells, in detuning order."""
+    v = spec.grid.velocities[node]
+    shift_p, shift_s = doppler_shifts(v, spec.geometry,
+                                      spec.fields["pump"].k,
+                                      spec.fields["signal"].k)
+    return [(shift_p, d - spec.fields["signal"].detuning + shift_s)
+            for d in spec.detunings]
+
+
+@pytest.mark.parametrize("geometry", [COUNTER, CO])
+def test_non_finite_node_alone_takes_the_dense_path(fig7, geometry,
+                                                    monkeypatch):
+    """A node whose solves see a non-finite velocity fails every check:
+    its cells, and no other, go to steady_state, and the rows match."""
+    spec = small_spec(fig7, np.linspace(-300.0, 300.0, 16),
+                      grid=VelocityGrid.gauss_hermite(9), geometry=geometry)
+    assert node_major(spec)
+    reference = np.array([r.as_tuple() for r in sweep(spec)])
+    bad = 3
+    node_states = liouville._node_states
+
+    def inject(patch):
+        def non_finite(ex, split, shifts, v):
+            if v == spec.grid.velocities[bad]:
+                v = np.nan
+            return node_states(ex, split, shifts, v)
+        patch.setattr(liouville, "_node_states", non_finite)
+    calls, rows = node_major_dense_cells(spec, monkeypatch, inject)
+    assert calls == node_cells(spec, bad)
+    assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
+
+
+def test_eigendecomposition_error_sends_one_node_to_the_dense_path(
+        fig7, monkeypatch):
+    """A LinAlgError in one node's eigendecomposition sends exactly that
+    node's cells to steady_state."""
+    spec = small_spec(fig7, np.linspace(-300.0, 300.0, 16),
+                      grid=VelocityGrid.gauss_hermite(9))
+    assert node_major(spec)
+    reference = np.array([r.as_tuple() for r in sweep(spec)])
+    bad = 5
+    poles = liouville._poles
+    count = []
+
+    def inject(patch):
+        def fails_once(k, p):       # serial: one call per node, in order
+            count.append(k)
+            if len(count) == bad + 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return poles(k, p)
+        patch.setattr(liouville, "_poles", fails_once)
+    calls, rows = node_major_dense_cells(spec, monkeypatch, inject)
+    assert len(count) == 9
+    assert calls == node_cells(spec, bad)
+    assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,20 @@ def test_delta_grid_point_count_in_yaml_is_named(base_cfg):
     assert scenario_from_config(cfg).sweep.velocity_points == 1
 
 
+@pytest.mark.parametrize("points", [1, 0])
+def test_uniform_grid_of_one_point_in_yaml_is_named(base_cfg, points):
+    """A uniform grid's one node would sit at -span thermal velocities
+    with weight 1, so fewer than two points is a ConfigError naming the
+    key."""
+    cfg = mutated(base_cfg, ("sweep",), {
+        "detuning_start": -1.0, "detuning_stop": 1.0,
+        "velocity": {"kind": "uniform", "points": points}})
+    with pytest.raises(ConfigError, match=r"sweep\.velocity\.points"):
+        scenario_from_config(cfg)
+    cfg["sweep"]["velocity"]["points"] = 2
+    assert scenario_from_config(cfg).sweep.velocity_points == 2
+
+
 def test_scenario_without_sweep_cannot_build_spec(base_cfg):
     scn = scenario_from_config(copy.deepcopy(base_cfg))
     with pytest.raises(ConfigError, match="no sweep"):
