@@ -95,6 +95,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers > 1:
+        # worker threads and OpenBLAS's own threads contend for the cores:
+        # one BLAS thread per worker, set before numpy loads, unless the
+        # user chose a count
+        import os
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .doppler import sweep, write_sweep_csv
     scn = _get_scenario(args)
     spec = scn.sweep_spec(geometry=args.geometry,
@@ -150,23 +156,28 @@ def cmd_lcr(args) -> int:
 
 def cmd_invert(args) -> int:
     from .analyzer import LcrScan, invert_scan_lsq
+    with open(args.scan, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.scan}: not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
     rows = []
-    with open(args.scan) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                theta_deg, intensity = (float(tok) for tok in line.split(","))
-                finite = math.isfinite(theta_deg) and math.isfinite(intensity)
-            except ValueError:
-                if not rows and line[0].isalpha():
-                    continue            # a header before the first data row
-                finite = False
-            if not finite:
-                raise ConfigError(f"{args.scan}, line {lineno}: expected "
-                                  f"finite theta_deg,intensity, got {line!r}")
-            rows.append((math.radians(theta_deg), intensity))
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            theta_deg, intensity = (float(tok) for tok in line.split(","))
+            finite = math.isfinite(theta_deg) and math.isfinite(intensity)
+        except ValueError:
+            if not rows and line[0].isalpha():
+                continue                # a header before the first data row
+            finite = False
+        if not finite:
+            raise ConfigError(f"{args.scan}, line {lineno}: expected "
+                              f"finite theta_deg,intensity, got {line!r}")
+        rows.append((math.radians(theta_deg), intensity))
     if len(rows) < 3:
         raise ConfigError(f"{args.scan}: need at least 3 scan points")
     thetas, intensities = zip(*rows)
@@ -238,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--out", required=True, metavar="CSV")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="worker threads, at most one per detuning and per "
-                        "usable CPU (default 1)")
+                   help="worker threads, at most one per usable CPU and per "
+                        "detuning (per velocity node in a sweep of many "
+                        "detunings); more than one sets OPENBLAS_NUM_THREADS "
+                        "to 1 unless it is set (default 1)")
     p.add_argument("--points", type=_point_count,
                    help="override detuning count")
     p.add_argument("--velocity-points", type=_point_count)

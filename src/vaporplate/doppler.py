@@ -18,7 +18,8 @@ resumed sweep takes the order of its uninterrupted run.  Detuning-major,
 the velocity is the pole variable: one eigendecomposition per detuning
 serves all its nodes (liouville._velocity_average).  Node-major, the
 detuning is: one eigendecomposition per node serves a block of
-NODE_MAJOR_BLOCK detunings (liouville._node_average).  One detuning is
+NODE_MAJOR_BLOCK detunings, and the nodes are solved a block of nodes
+per stacked call (liouville._node_average).  One detuning is
 always detuning-major, so one-detuning requests keep their rows bit for
 bit.  A row inside a node-major sweep comes from other products than the
 same detuning swept alone and differs from it in the last bits: by at
@@ -32,9 +33,10 @@ last pair, so a sweep whose generator inputs and Doppler rates equal the
 last sweep's builds neither again and a stream of one-detuning requests
 at one operating point pays for one eigendecomposition each.  Work runs
 in this thread or on a pool of threads, which only read that pair: over
-detunings detuning-major and over nodes node-major, whose weighted cells
-are summed in node order, so a row does not depend on the worker count
-or on whether the pair was kept.  Within an order a row does not depend
+detunings detuning-major and over blocks of nodes node-major, whose
+weighted cells are summed in node order, so a row does not depend on the
+worker count, the node blocks or on whether the pair was kept.  Within
+an order a row does not depend
 on the detunings beside it: a detuning-major row is solved alone, and
 node-major blocks start at multiples of NODE_MAJOR_BLOCK.  A checkpoint
 holds the finished rows, so a resumed sweep computes only the others; a
@@ -77,10 +79,11 @@ CHECKPOINT_FORMAT = "vaporplate sweep checkpoint v6: finished rows"
 # fig7-full's own count, whose products stay below 0.5 MB a block.
 NODE_MAJOR_BLOCK = 512
 # The work around one eigendecomposition of size n, which costs n^3, in
-# the same units (_node_major): fitted to fig7-full's 1.44 ms per
-# detuning-major detuning (n = 68, 74 nodes) and 0.49 ms per node-major
-# node (n = 36), with one BLAS thread.
-POLE_OVERHEAD = 100_000
+# the same units (_node_major): fitted, with one BLAS thread, to where
+# node-major became the faster order on fig7-full (pole sizes 68 and 36):
+# between 20 and 22 detunings on GH200 (74 solved nodes) and at 8 on GH32
+# (28 nodes), once node-major solved its nodes in blocks.
+POLE_OVERHEAD = 60_000
 
 
 def thermal_rms_velocity(temperature: float, mass_amu: float) -> float:
@@ -276,12 +279,13 @@ def _detuning_row(spec: SweepSpec, generator: tuple,
 
 def _node_rows(spec: SweepSpec, generator: tuple,
                nodes: tuple[np.ndarray, np.ndarray], detunings: np.ndarray,
-               mapper) -> list[np.ndarray]:
+               mapper, workers: int) -> list[np.ndarray]:
     """_detuning_row at each detuning, node-major: one eigendecomposition
-    per node serves every detuning, and mapper maps over the nodes."""
+    per node serves every detuning, and mapper maps over blocks of nodes,
+    at least one block per worker."""
     (*_, rates), liou, ex = generator
     rhos = _node_average(liou, ex, detunings - spec.fields["signal"].detuning,
-                         *nodes, rates, mapper)
+                         *nodes, rates, mapper, workers)
     return [_row(spec, rho) for rho in rhos]
 
 
@@ -328,9 +332,10 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     progress(done, total) counts detunings, each reported once its row
     exists: one by one detuning-major, a block at a time node-major.
     workers is an int >= 1 (not a bool), else ModelError.  The pool has at
-    most as many worker threads as there are units of work (detunings to
-    solve detuning-major, nodes node-major) and CPUs this process may run
-    on; with one, the sweep runs in the calling thread.  Each row is
+    most as many worker threads as there are detunings to solve
+    (detuning-major) or solved nodes (node-major, which splits the nodes
+    into at least one block per worker) and CPUs this process may run on;
+    with one, the sweep runs in the calling thread.  Each row is
     computed the same way whatever the worker count, so rows are
     bit-identical across worker counts.  With a checkpoint path the
     finished rows are saved every 16 detunings and at the end, and a
@@ -366,8 +371,7 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
     nodes = _solved_nodes(spec.grid)
     ex = generator[2]
     node_major = ex is not None and _node_major(
-        total, len(nodes[0]), len(ex.p0),
-        np.count_nonzero(np.diagonal(ex.ratio)))
+        total, len(nodes[0]), len(ex.p0), len(ex.moved))
     todo = spec.detunings[done:].tolist()
     workers = min(workers, len(nodes[0]) if node_major and todo
                   else len(todo), _cpu_count())
@@ -383,7 +387,7 @@ def sweep(spec: SweepSpec, workers: int = 1, progress=None,
                             NODE_MAJOR_BLOCK):
                 block = _node_rows(spec, generator, nodes,
                                    spec.detunings[lo:lo + NODE_MAJOR_BLOCK],
-                                   mapper)
+                                   mapper, workers)
                 collect(block[done - lo:])
 
     if not np.all(np.isfinite(rows)):
@@ -449,29 +453,34 @@ def write_sweep_csv(path: str, detunings: np.ndarray,
 def read_sweep_csv(path: str) -> tuple[np.ndarray, list[OpticalResponse]]:
     """The detunings and responses of a sweep CSV.  A row that is not
     CSV_HEADER's width of finite numbers (nan and inf included) is a
-    ModelError naming the file and line, and so is a file without rows."""
+    ModelError naming the file and line, and so are a file without rows
+    and one that is not UTF-8 text."""
     width = len(CSV_HEADER.split(","))
     rows = []
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != CSV_MAGIC:
-            raise ModelError(f"not a vaporplate sweep CSV: {path}")
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ModelError(f"unexpected sweep CSV columns in {path}")
-        for number, line in enumerate(fh, 3):
-            if not line.strip():
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ModelError(f"malformed sweep CSV row in {path} line "
-                                 f"{number}: {exc}") from exc
-            if len(row) != width or not all(map(math.isfinite, row)):
-                raise ModelError(f"sweep CSV {path} line {number}: expected "
-                                 f"{width} finite numbers, got "
-                                 f"{line.strip()!r}")
-            rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            magic = fh.readline().strip()
+            if magic != CSV_MAGIC:
+                raise ModelError(f"not a vaporplate sweep CSV: {path}")
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ModelError(f"unexpected sweep CSV columns in {path}")
+            for number, line in enumerate(fh, 3):
+                if not line.strip():
+                    continue
+                try:
+                    row = [float(tok) for tok in line.split(",")]
+                except ValueError as exc:
+                    raise ModelError(f"malformed sweep CSV row in {path} "
+                                     f"line {number}: {exc}") from exc
+                if len(row) != width or not all(map(math.isfinite, row)):
+                    raise ModelError(f"sweep CSV {path} line {number}: "
+                                     f"expected {width} finite numbers, got "
+                                     f"{line.strip()!r}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
     if not rows:
         raise ModelError(f"sweep CSV {path} has no data rows of {width} "
                          "columns")

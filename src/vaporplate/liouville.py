@@ -24,15 +24,20 @@ signal detuning.  One eigendecomposition serves every value of its pole
 variable: every node at one detuning (`_velocity_average`,
 detuning-major) or, with the coordinates of S no signal shift moves
 eliminated at the node, every detuning at one node (`_node_average`,
-node-major).  Both orders share the real-basis pole algebra (`_poles`)
-and the per-cell checks and refinement residual (`_checked`).  This
-module keeps nothing between calls, and a Liouvillian does not change
-after `vectorize` returns it: `steady_states` builds its elimination on
-every call, and doppler.sweep, which keeps a generator and its
-elimination across sweeps, hands the elimination to either order.  Each
-cell is solved and checked once and refined once; a cell that fails is
-solved by `steady_state` alone, and every cell is when the generator has
-no unique steady state at rest or F cannot be eliminated.
+node-major, which solves a block of nodes per stacked LAPACK call and
+broadcast product, one node per matrix).  Both orders share the
+real-basis pole algebra (`_poles`) and the per-cell checks and
+refinement residual (`_checked`), which take a node's matrices alone or
+stacked.  This module keeps nothing between calls, and a Liouvillian
+does not change after `vectorize` returns it: `steady_states` builds its
+elimination on every call, and doppler.sweep, which keeps a generator
+and its elimination across sweeps, hands the elimination to either
+order.  Each cell is solved and checked once and refined once: the F
+part of the refinement step, which is linear, is applied to the weighted
+sum of the nodes in both orders, and its S part to that sum
+detuning-major and to each cell node-major.  A cell that fails is solved
+by `steady_state` alone, and every cell is when the generator has no
+unique steady state at rest or F cannot be eliminated.
 """
 
 from __future__ import annotations
@@ -220,6 +225,16 @@ class _Expansion(NamedTuple):
     coef_s: np.ndarray      # D_signal
     populations: np.ndarray
     t: np.ndarray           # real coordinates -> the generator's complex ones
+    # node-major (_node_states): S split into Z, where ratio is zero (the
+    # coherences no signal shift moves), and N, the others, as indices into
+    # S, with P = p0 in blocks
+    fixed: np.ndarray       # Z
+    moved: np.ndarray       # N
+    p_zz: np.ndarray
+    zn_rhs: np.ndarray      # [P_ZN | 1]
+    p_nz: np.ndarray
+    p_nn: np.ndarray
+    r_inv: np.ndarray       # R_N^-1, a column
 
 
 def vectorize(h: np.ndarray, scheme: LevelScheme,
@@ -519,19 +534,27 @@ def _build_expansion(liou: Liouvillian, rate_p: float,
         delta = coef_v[n_f:][swap, None]
         p0 = (ar[n_f:, n_f:] - a_sf @ z)[swap] / delta
         ar[trace_row] = (saved_row @ t).real
+        ratio = theta_s[n_f:] / theta_v[n_f:]
+        fixed, moved = np.flatnonzero(ratio == 0), np.flatnonzero(ratio)
         return _Expansion(
             a=ar, trace_row=trace_row, n_f=n_f, w_ff=w_ff, z=z, y=y,
-            y_sf=a_sf @ w_ff, p0=p0,
-            ratio=np.diag(theta_s[n_f:] / theta_v[n_f:]), swap=swap,
+            y_sf=a_sf @ w_ff, p0=p0, ratio=np.diag(ratio), swap=swap,
             delta=delta, dc=(b_r[n_f:, None] - a_sf @ y)[swap] / delta,
             partner=partner, paired=(~pop).astype(float)[:, None],
             coef_v=coef_v, coef_s=coef_s,
-            populations=np.flatnonzero(pop), t=t)
+            populations=np.flatnonzero(pop), t=t, fixed=fixed, moved=moved,
+            p_zz=p0[np.ix_(fixed, fixed)],
+            zn_rhs=np.column_stack([p0[np.ix_(fixed, moved)],
+                                    np.eye(len(fixed))]),
+            p_nz=p0[np.ix_(moved, fixed)], p_nn=p0[np.ix_(moved, moved)],
+            r_inv=1.0 / ratio[moved, None])
 
 
 def _poles(k: np.ndarray, p):
     """(W, W^-1, solve_b) for the pole variable p, a row of values: K = W
-    B W^-1, and solve_b(g) = (B + p)^-1 g, one column per value of p.
+    B W^-1, and solve_b(g) = (B + p)^-1 g, one column per value of p.  K
+    may carry leading stack axes, one matrix per node; W, W^-1 and solve_b
+    then carry them too, and each matrix is decomposed on its own.
 
     W is LAPACK's real eigenvector columns: a conjugate pair of eigenvalues
     a +- ib, b > 0, gives the columns Re and Im of the first one's
@@ -546,11 +569,13 @@ def _poles(k: np.ndarray, p):
     # real arrays when every eigenvalue is real, complex ones otherwise
     lam, vec = np.linalg.eig(k)
     beta = lam.imag
-    basis = np.where(beta < 0, -vec.imag, vec.real)
-    pair = np.arange(len(lam)) + np.sign(beta).astype(int)
-    alpha = lam.real[:, None] + p
-    scale = 1.0 / (alpha * alpha + (beta * beta)[:, None])
-    re, im = alpha * scale, beta[:, None] * scale
+    basis = np.where(beta[..., None, :] < 0, -vec.imag, vec.real)
+    pair = np.arange(lam.shape[-1]) + np.sign(beta).astype(int)
+    # g[pair] within each matrix of the stack
+    pair = (*np.indices(pair.shape, sparse=True)[:-1], pair)
+    alpha = lam.real[..., None] + p
+    scale = 1.0 / (alpha * alpha + (beta * beta)[..., None])
+    re, im = alpha * scale, beta[..., None] * scale
 
     def solve_b(g):
         return re * g - im * g[pair]
@@ -559,7 +584,9 @@ def _poles(k: np.ndarray, p):
 
 def _checked(ex: _Expansion, x: np.ndarray, shift, v):
     """(ok, e_F, r_S) for the cells x, one per column, at signal shift
-    `shift` and velocity `v`, each a number or a row of one per column.
+    `shift` and velocity `v`, each a number or an array that broadcasts
+    against the columns; x may carry leading stack axes (one node each),
+    and so do the results.
 
     A x on the true generator, formed once per cell, gives both the checks
     and the refinement's residual: with the trace row imposed, where A x -
@@ -571,17 +598,20 @@ def _checked(ex: _Expansion, x: np.ndarray, shift, v):
     Z dx_S."""
     n_f = ex.n_f
     ax = ex.a @ x
-    ax[n_f:] += (ex.coef_s[n_f:, None] * shift
-                 + ex.coef_v[n_f:, None] * v) * x[ex.partner[n_f:]]
+    ax[..., n_f:, :] += (ex.coef_s[n_f:, None] * shift
+                         + ex.coef_v[n_f:, None] * v) \
+        * x[..., ex.partner[n_f:], :]
     # |r_Re + i r_Im| is the complex residual of rho_ij
     sq = ax * ax
-    resid_sq = np.max(sq + ex.paired * sq[ex.partner], axis=0)
-    pops = x[ex.populations]
-    trace = pops.sum(axis=0) - 1.0
-    ax[ex.trace_row] = trace
+    resid_sq = np.max(sq + ex.paired * sq[..., ex.partner, :], axis=-2)
+    pops = x[..., ex.populations, :]
+    trace = pops.sum(axis=-2) - 1.0
+    ax[..., ex.trace_row, :] = trace
     ok = (resid_sq <= 1e-18) & (np.abs(trace) <= 1e-8) & \
-        (pops.min(axis=0) >= -1e-8)
-    return ok, ax[:n_f], (ax[n_f:] - ex.y_sf @ ax[:n_f])[ex.swap] / ex.delta
+        (pops.min(axis=-2) >= -1e-8)
+    e_f = ax[..., :n_f, :]
+    return ok, e_f, \
+        (ax[..., n_f:, :] - ex.y_sf @ e_f)[..., ex.swap, :] / ex.delta
 
 
 def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
@@ -621,101 +651,115 @@ def _expanded_states(ex: _Expansion, shift: float, v: np.ndarray,
         return x, ok
 
 
-class _NodeSplit(NamedTuple):
-    """S split for node-major solves: Z, where Delta^-1 D_signal is zero
-    (the coherences no signal shift moves), and N, the others.  Indices
-    and blocks are into S, whose system is (P + s R + v) x_S = c with P =
-    ex.p0, R = ex.ratio and c = ex.dc."""
-
-    fixed: np.ndarray       # Z
-    moved: np.ndarray       # N
-    p_zz: np.ndarray
-    zn_rhs: np.ndarray      # [P_ZN | 1]
-    p_nz: np.ndarray
-    p_nn: np.ndarray
-    r_inv: np.ndarray       # R_N^-1, a column
-
-
-def _node_split(ex: _Expansion) -> _NodeSplit:
-    r = np.diagonal(ex.ratio)
-    fixed, moved = np.flatnonzero(r == 0), np.flatnonzero(r)
-    p = ex.p0
-    return _NodeSplit(
-        fixed, moved, p[np.ix_(fixed, fixed)],
-        np.column_stack([p[np.ix_(fixed, moved)], np.eye(len(fixed))]),
-        p[np.ix_(moved, fixed)], p[np.ix_(moved, moved)],
-        1.0 / r[moved, None])
-
-
-def _node_states(ex: _Expansion, split: _NodeSplit, shifts: np.ndarray,
-                 v: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x, ok) at one velocity node v, one column per signal shift: x is
-    each cell's solution in real coordinates after one refinement step,
-    and ok says which cells passed the checks (_checked).
+def _node_states(ex: _Expansion, shifts: np.ndarray, v: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(u, ok) at a block of velocity nodes v, one matrix per node and one
+    column per signal shift.  u holds each cell's solution on S after one
+    refinement step and, on F, e_F, the F part of the cell's residual
+    (_checked); ok says which cells passed the checks.  x_F after the step
+    is y - Z x_S - A_FF^-1 e_F, linear in both, so _node_average forms it
+    once on the weighted sum.
 
     The signal shift enters S only through R, which is zero on Z, so with
-    Z eliminated at this node, G(v) = R_N^-1 (P_NN + v - P_NZ (P_ZZ +
+    Z eliminated at each node, G(v) = R_N^-1 (P_NN + v - P_NZ (P_ZZ +
     v)^-1 P_ZN), x_N = (G + s)^-1 R_N^-1 (c_N - P_NZ (P_ZZ + v)^-1 c_Z) for
     every shift s from one eigendecomposition of G, with the shift as the
     pole variable (_poles), and x_Z = (P_ZZ + v)^-1 (c_Z - P_ZN x_N).  The
     refinement step solves each cell's residual through the same
-    decomposition.  A singular P_ZZ + v or a non-finite G raises
+    decomposition.  The Z elimination, the eigendecompositions and the
+    basis inverses each run as one stacked LAPACK call per block, and each
+    product as one broadcast matmul; every product holds one node per
+    matrix, so a node's numbers do not depend on its block.  A singular
+    P_ZZ + v or a non-finite G at any node of the block raises
     LinAlgError; a cell on a real pole, or one whose shift overflows,
     gives a non-finite column and fails the checks."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n_f, fixed, moved = ex.n_f, split.fixed, split.moved
-        sol = np.linalg.solve(split.p_zz + v * np.eye(len(fixed)),
-                              split.zn_rhs)
-        zn, zz_inv = sol[:, :len(moved)], sol[:, len(moved):]
+        n_f, fixed, moved = ex.n_f, ex.fixed, ex.moved
+        v = v[:, None, None]
+        # a 3-D right-hand side is a stack of matrices under numpy 1.x too
+        sol = np.linalg.solve(ex.p_zz + v * np.eye(len(fixed)),
+                              ex.zn_rhs[None])
+        zn, zz_inv = sol[..., :len(moved)], sol[..., len(moved):]
         basis, basis_inv, solve_b = _poles(
-            (split.p_nn + v * np.eye(len(moved)) - split.p_nz @ zn)
-            * split.r_inv, shifts)
+            (ex.p_nn + v * np.eye(len(moved)) - ex.p_nz @ zn) * ex.r_inv,
+            shifts)
 
-        def solve_s(rhs):       # (P + s R + v)^-1 rhs per shift s
-            z0 = zz_inv @ rhs[fixed]
-            out = np.empty((len(rhs), len(shifts)))
-            out[moved] = basis @ solve_b(
-                basis_inv @ ((rhs[moved] - split.p_nz @ z0) * split.r_inv))
-            out[fixed] = z0 - zn @ out[moved]
+        def solve_s(rhs):       # (P + s R + v)^-1 rhs per node and shift s
+            z0 = zz_inv @ rhs[..., fixed, :]
+            out = np.empty((len(v), len(ex.p0), len(shifts)))
+            out[:, moved] = basis @ solve_b(basis_inv @ (
+                (rhs[..., moved, :] - ex.p_nz @ z0) * ex.r_inv))
+            out[:, fixed] = z0 - zn @ out[:, moved]
             return out
 
-        x = np.empty((len(ex.a), len(shifts)))
-        x[n_f:] = solve_s(ex.dc)
-        x[:n_f] = ex.y - ex.z @ x[n_f:]
-        ok, e_f, r_s = _checked(ex, x, shifts, v)
-        step_s = solve_s(r_s)
-        x[n_f:] -= step_s
-        x[:n_f] -= ex.w_ff @ e_f - ex.z @ step_s
-        return x, ok
+        u = np.empty((len(v), len(ex.a), len(shifts)))
+        u[:, n_f:] = solve_s(ex.dc)
+        u[:, :n_f] = ex.y - ex.z @ u[:, n_f:]
+        ok, e_f, r_s = _checked(ex, u, shifts, v)
+        u[:, n_f:] -= solve_s(r_s)
+        u[:, :n_f] = e_f
+        return u, ok
+
+
+# Cells (nodes x signal shifts) _node_average solves per block of nodes,
+# at least one node.  On fig7-full's 48 x GH200 sweep (74 nodes, one BLAS
+# thread) blocks of 4 nodes took 24% less CPU time than blocks of one node
+# and raised the peak RSS of a 60-sweep loop by 0.9 MB; blocks of 16 nodes
+# saved 4% more and raised it by 5.4 MB.
+NODE_BLOCK_CELLS = 200
 
 
 def _node_average(liou: Liouvillian, ex: _Expansion, shifts: np.ndarray,
-                  v: np.ndarray, w: np.ndarray, doppler, mapper=map
-                  ) -> np.ndarray:
+                  v: np.ndarray, w: np.ndarray, doppler, mapper=map,
+                  min_blocks: int = 1) -> np.ndarray:
     """The velocity averages at the signal shifts, node-major: (len(shifts),
     n, n), row j what _velocity_average(liou, ex, shifts[j], v, w,
-    doppler) gives to rounding.  Each node's cells are solved from one
-    eigendecomposition (_node_states), mapper maps over the nodes (map, or
-    a pool's), and the weighted cells that passed are summed in node
-    order, so the sum does not depend on the mapper.  A cell that fails,
-    and every cell of a node whose elimination or eigendecomposition
-    raises LinAlgError, is solved by steady_state alone."""
-    split = _node_split(ex)
+    doppler) gives to rounding.
 
-    def node(vb):
+    The nodes are split into consecutive blocks of about
+    NODE_BLOCK_CELLS cells, and into at least min_blocks blocks (the
+    pool's worker count) while there are nodes enough; each block's cells
+    are solved from one eigendecomposition per node (_node_states), and
+    mapper maps over the blocks (map, or a pool's).  A LinAlgError in a
+    block's stacked calls solves that block again one node at a time, so
+    only a failing node's cells are lost.  The weighted cells that passed
+    are summed in node order, one node at a time, so the sum does not
+    depend on the mapper or the block size; the F part of the refinement
+    is applied to that sum, which is linear in the cells.  A cell that
+    fails, and every cell of a node whose own elimination or
+    eigendecomposition raises LinAlgError, is solved by steady_state
+    alone."""
+    n, k = len(ex.a), len(shifts)
+
+    def solve(vb):
         try:
-            return _node_states(ex, split, shifts, vb)
+            return _node_states(ex, shifts, vb)
         except np.linalg.LinAlgError:
-            return None, np.zeros(len(shifts), dtype=bool)
+            if len(vb) > 1:     # node by node, so only a failing node is lost
+                u, ok = zip(*(solve(vb[b:b + 1]) for b in range(len(vb))))
+                return np.concatenate(u), np.concatenate(ok)
+            return np.zeros((1, n, k)), np.zeros((1, k), dtype=bool)
 
-    total = np.zeros((len(ex.a), len(shifts)))
+    def weighted(block):
+        u, ok = solve(v[block])
+        # each cell that passed, weighted, and below it that weight
+        u = np.concatenate([u, np.ones((len(block), 1, k))], axis=1)
+        return w[block, None, None] * np.where(ok[:, None], u, 0.0), ok
+
+    count = max(min_blocks, -(-len(v) // max(1, NODE_BLOCK_CELLS // k)))
+    total = np.zeros((n + 1, k))
     failed = []
-    for wb, (x, ok) in zip(w, mapper(node, v.tolist())):
-        if ok.any():
-            total += wb * np.where(ok, x, 0.0)
-        failed.append(~ok)
-    out = np.zeros((len(shifts), liou.n_levels, liou.n_levels), dtype=complex)
-    out[:, liou.rows, liou.cols] = (ex.t @ total).T
+    for cells, ok in mapper(weighted, np.array_split(
+            np.arange(len(v)), min(count, len(v)))):
+        for node in cells:
+            total += node
+        failed.extend(~ok)
+    # the F rows of the sum hold the weighted e_F and its last row the
+    # weight of the cells that passed
+    x = total[:n]
+    x[:ex.n_f] = ex.y * total[n] - ex.z @ x[ex.n_f:] - ex.w_ff @ x[:ex.n_f]
+    out = np.zeros((k, liou.n_levels, liou.n_levels), dtype=complex)
+    out[:, liou.rows, liou.cols] = (ex.t @ x).T
     for j, b in zip(*np.nonzero(np.transpose(failed))):
         out[j] += w[b] * _dense_cell(liou, shifts[j], v[b], doppler)
     return out

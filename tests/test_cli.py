@@ -149,10 +149,11 @@ def test_sweep_with_unreadable_checkpoint_exits_one(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def python_process(*args):
-    """`python *args` run to a zero exit with this package on the path."""
+def python_process(*args, env=os.environ):
+    """`python *args` run to a zero exit with this package on the path and
+    the environment env."""
     src = str(Path(vaporplate.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(env, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     return subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True)
@@ -176,6 +177,28 @@ def test_import_loads_neither_multiprocessing_nor_yaml():
         " 'hashlib'} & new),"
         " sorted(m for m in new if m.startswith('vaporplate.')))")
     assert out.strip() == "[] []"
+
+
+@pytest.mark.parametrize("workers, given, want", [
+    ("2", None, "1"), ("1", None, None), ("2", "3", "3")])
+def test_pooled_sweep_pins_blas_threads_unless_set(tmp_path, workers, given,
+                                                   want):
+    """`vaporplate sweep --workers N` with N > 1 sets OPENBLAS_NUM_THREADS
+    to 1 before numpy loads; one worker leaves it unset, and a value the
+    user set stays."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = python_process(
+        "-c", "import os, sys\n"
+        "from vaporplate.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'))",
+        "sweep", "--preset", "fig1-ideal", "--points", "3",
+        "--out", str(tmp_path / "sweep.csv"), "--workers", workers,
+        env=env).stdout
+    assert out.splitlines()[-1] == f"0 {want}"
 
 
 def test_invert_process_loads_no_numpy(tmp_path):
@@ -459,6 +482,17 @@ def test_invert_requires_three_points(tmp_path, capsys):
     assert "3 scan points" in err
 
 
+def test_invert_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    """A scan file that is not UTF-8 text ends in one error line naming
+    the file, not in a UnicodeDecodeError traceback."""
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "invert", "--scan", str(path), "--e0", "1")
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: not UTF-8 text: invalid start byte at " \
+        "byte 0\n"
+
+
 def test_invert_rejects_malformed_rows(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     for row in ("30,x", "30,0.7,1", "x,0.7", "nan,0.7", "30,inf"):
@@ -546,6 +580,10 @@ def _resolved_f_values(cfg):
     cfg["scheme"]["manifolds"][4]["f_values"] = [1, 2]
 
 
+def _no_f(cfg):
+    del cfg["scheme"]["manifolds"][0]["f"]
+
+
 @pytest.mark.parametrize("edit", [
     _set("scheme", "manifolds", 2, "j", 0.7),
     _set("scheme", "manifolds", 2, "j", math.inf),
@@ -554,8 +592,10 @@ def _resolved_f_values(cfg):
     _set("scheme", "manifolds", 0, "f", "x"),
     _set("scheme", "manifolds", 3, "f", -1),
     _resolved_f_values,
+    _set("scheme", "manifolds", 0, "f_values", [1, 2]),
+    _no_f,
 ], ids=["j-0.7", "j-inf", "spin-1.7", "spin-nan", "f-x", "f-minus-1",
-        "resolved-f-values"])
+        "resolved-f-values", "f-and-f-values", "no-f"])
 def test_bad_angular_momentum_exits_one(tmp_path, capsys, edit):
     path = _reduced15_copy(tmp_path, edit)
     code, out, err = run(capsys, "validate", "--scenario", path)
@@ -639,13 +679,33 @@ def test_missing_required_key_exits_one(tmp_path, capsys, edit, path):
     (_set("sweep", "detuning_stop", math.inf), "detuning_stop"),
     (_set("sweep", "velocity", "points", 800), "points"),
     (_set("sweep", "velocity", "kind", "delta"), "velocity.points"),
+    (_set("sweep", "geometry", "sideways"), "geometry"),
 ], ids=["temperature-minus-1", "mass-0", "span-nan", "kind", "stop-inf",
-        "gauss-hermite-800", "delta-points"])
+        "gauss-hermite-800", "delta-points", "geometry"])
 def test_validate_rejects_bad_sweep_settings(tmp_path, capsys, edit, key):
     code, out, err = run(capsys, "validate", "--scenario",
                          _reduced15_copy(tmp_path, edit))
     assert code == 1 and out == ""
     assert err.startswith("error: sweep.") and key in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set("transitions", "mode", "bogus"), "transitions.mode"),
+    (_set("decay", "six_s_decay_path", "bogus"), "decay.six_s_decay_path"),
+    (_set("fields", [1, 2]), "fields: expected a mapping"),
+    (_set("fields", "pump", "polarization", "plus", [1]),
+     "fields.pump.polarization.plus"),
+], ids=["transitions-mode", "six-s-decay-path", "fields-list",
+        "polarization-list"])
+def test_validate_rejects_bad_choices_and_shapes(tmp_path, capsys, edit,
+                                                 named):
+    """A choice outside its set, or a list where a mapping or a number
+    belongs, ends in one error line naming the key."""
+    code, out, err = run(capsys, "validate", "--scenario",
+                         _reduced15_copy(tmp_path, edit))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err
     assert len(err.splitlines()) == 1
 
 

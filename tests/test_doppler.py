@@ -162,6 +162,12 @@ def test_sweep_spec_rejects_non_monotone_detunings(fig7):
         small_spec(fig7, [0.0, 2.0, 1.0])
 
 
+def test_sweep_spec_rejects_unknown_geometry(fig7):
+    spec = small_spec(fig7, [0.0])
+    with pytest.raises(ModelError, match="unknown geometry 'sideways'"):
+        dataclasses.replace(spec, geometry="sideways")
+
+
 def test_sweep_spec_needs_a_detuning(fig7):
     """At least one detuning, in a 1-D list: a column, a square and a
     scalar are refused before the sweep indexes them."""
@@ -605,12 +611,12 @@ def test_node_major_rows_match_each_detuning_swept_alone(preset, geometry):
 
 
 # the fig7-full counter-propagating shapes whose faster order was measured
-# (OPENBLAS_NUM_THREADS=1, 2-core Xeon): node-major from 32 detunings on
-# GH200, whose sweep solves 74 nodes
+# (OPENBLAS_NUM_THREADS=1, 2-core Xeon): node-major from 24 detunings on
+# GH200, whose sweep solves 74 nodes (20 and 22 measured even)
 ORDER_TABLE = [
-    (1, 74, False), (8, 74, False), (16, 74, False), (24, 74, False),
+    (1, 74, False), (8, 74, False), (16, 74, False), (24, 74, True),
     (32, 74, True), (48, 74, True), (128, 74, True), (512, 74, True),
-    (8, 28, False),         # GH32
+    (8, 28, True),          # GH32
     (61, 800, False),       # gate 9's uniform(800)
     (241, 1, True),         # the delta grid
 ]
@@ -722,48 +728,57 @@ def node_cells(spec, node):
 @pytest.mark.parametrize("geometry", [COUNTER, CO])
 def test_non_finite_node_alone_takes_the_dense_path(fig7, geometry,
                                                     monkeypatch):
-    """A node whose solves see a non-finite velocity fails every check:
-    its cells, and no other, go to steady_state, and the rows match."""
+    """A node whose solves see a non-finite velocity makes its block's
+    eigendecomposition raise; the block is solved again one node at a
+    time, and that node's cells, and no other, go to steady_state, and the
+    rows match."""
     spec = small_spec(fig7, np.linspace(-300.0, 300.0, 16),
                       grid=VelocityGrid.gauss_hermite(9), geometry=geometry)
     assert node_major(spec)
     reference = np.array([r.as_tuple() for r in sweep(spec)])
     bad = 3
     node_states = liouville._node_states
+    blocks = []
 
     def inject(patch):
-        def non_finite(ex, split, shifts, v):
-            if v == spec.grid.velocities[bad]:
-                v = np.nan
-            return node_states(ex, split, shifts, v)
+        def non_finite(ex, shifts, v):
+            blocks.append(len(v))
+            return node_states(ex, shifts, np.where(
+                v == spec.grid.velocities[bad], np.nan, v))
         patch.setattr(liouville, "_node_states", non_finite)
     calls, rows = node_major_dense_cells(spec, monkeypatch, inject)
+    assert blocks == [9] + [1] * 9      # one block, then node by node
     assert calls == node_cells(spec, bad)
     assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
 
 
 def test_eigendecomposition_error_sends_one_node_to_the_dense_path(
         fig7, monkeypatch):
-    """A LinAlgError in one node's eigendecomposition sends exactly that
-    node's cells to steady_state."""
+    """A LinAlgError in the eigendecomposition of one node's block solves
+    the block again one node at a time, and the error there sends exactly
+    that node's cells to steady_state."""
     spec = small_spec(fig7, np.linspace(-300.0, 300.0, 16),
                       grid=VelocityGrid.gauss_hermite(9))
     assert node_major(spec)
     reference = np.array([r.as_tuple() for r in sweep(spec)])
-    bad = 5
-    poles = liouville._poles
-    count = []
+    bad = spec.grid.velocities[5]
+    node_states, poles = liouville._node_states, liouville._poles
+    blocks = []
 
     def inject(patch):
-        def fails_once(k, p):       # serial: one call per node, in order
-            count.append(k)
-            if len(count) == bad + 1:
+        def record(ex, shifts, v):      # serial: the block _poles serves
+            blocks.append(v)
+            return node_states(ex, shifts, v)
+
+        def fails_at_bad(k, p):
+            if bad in blocks[-1]:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return poles(k, p)
-        patch.setattr(liouville, "_poles", fails_once)
+        patch.setattr(liouville, "_node_states", record)
+        patch.setattr(liouville, "_poles", fails_at_bad)
     calls, rows = node_major_dense_cells(spec, monkeypatch, inject)
-    assert len(count) == 9
-    assert calls == node_cells(spec, bad)
+    assert [len(v) for v in blocks] == [9] + [1] * 9
+    assert calls == node_cells(spec, 5)
     assert np.allclose(rows, reference, rtol=1e-9, atol=1e-12)
 
 
@@ -1380,6 +1395,14 @@ def test_csv_rejects_foreign_files(tmp_path):
     path.write_text("delta,phi\n0,1\n")
     with pytest.raises(ModelError):
         read_sweep_csv(str(path))
+
+
+def test_csv_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "sweep.csv"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ModelError, match="not UTF-8 text") as exc:
+        read_sweep_csv(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_csv_rejects_unexpected_columns(tmp_path):

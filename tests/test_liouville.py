@@ -352,6 +352,76 @@ def test_steady_states_across_detuning_chunks(monkeypatch):
     assert np.allclose(block, average, rtol=1e-9, atol=1e-12)
 
 
+def preset_velocity_problem(preset):
+    """A preset's generator at rest, its counter-propagating Doppler
+    rates, five signal shifts and five weighted velocity nodes, and the
+    weighted average of dense per-cell solves at each shift."""
+    scn = load_preset(preset)
+    liou = vectorize(build_hamiltonian(scn.scheme, scn.transitions,
+                                       scn.fields), scn.scheme, scn.network)
+    doppler = doppler_shifts(1.0, COUNTER, scn.fields["pump"].k,
+                             scn.fields["signal"].k)
+    shifts = np.linspace(-40.0, 40.0, 5)
+    nodes = np.array([-300.0, -20.0, 0.0, 45.0, 410.0])
+    weights = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
+    want = np.array([sum(w * steady_state(liou, doppler[0] * v,
+                                          s + doppler[1] * v)
+                         for v, w in zip(nodes, weights)) for s in shifts])
+    return liou, doppler, shifts, nodes, weights, want
+
+
+@pytest.mark.parametrize("preset", ["fig1-ideal", "fig7-full"])
+def test_refinement_on_the_sum_corrects_the_f_elimination(preset,
+                                                          monkeypatch):
+    """Both orders apply the F part of the refinement step to the weighted
+    node sum: with the elimination's y = A_FF^-1 b_F off by 1e-12, within
+    the checks' bounds, the densities, populations included, still match
+    the weighted average of dense per-cell solves to 1e-13, and no cell
+    falls back."""
+    liou, doppler, shifts, nodes, weights, want = \
+        preset_velocity_problem(preset)
+    ex = liouville._build_expansion(liou, *doppler)
+    off = ex._replace(y=ex.y + 1e-12)
+    monkeypatch.setattr(liouville, "steady_state", no_dense_fallback)
+    node_major = liouville._node_average(liou, off, shifts, nodes, weights,
+                                         doppler)
+    detuning_major = np.array([liouville._velocity_average(
+        liou, off, s, nodes, weights, doppler) for s in shifts])
+    for got in (node_major, detuning_major):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("min_blocks", [1, 2])
+def test_node_major_cell_that_fails_leaves_the_sum(min_blocks, monkeypatch):
+    """A node-major cell that fails a check leaves the weighted sum, its
+    weight included, and steady_state solves it alone: the densities,
+    populations included, match the dense average in one block or two."""
+    liou, doppler, shifts, nodes, weights, want = \
+        preset_velocity_problem("fig7-full")
+    ex = liouville._build_expansion(liou, *doppler)
+    checked, dense = liouville._checked, liouville.steady_state
+    calls = []
+
+    def fail_node_1_at_shift_2(ex, x, shift, v):
+        ok, e_f, r_s = checked(ex, x, shift, v)
+        ok[np.ravel(v) == nodes[1], 2] = False
+        return ok, e_f, r_s
+
+    def record(liou, pump_shift=0.0, signal_shift=0.0):
+        calls.append((pump_shift, signal_shift))
+        return dense(liou, pump_shift, signal_shift)
+    monkeypatch.setattr(liouville, "_checked", fail_node_1_at_shift_2)
+    monkeypatch.setattr(liouville, "steady_state", record)
+    got = liouville._node_average(liou, ex, shifts, nodes, weights, doppler,
+                                  min_blocks=min_blocks)
+    assert calls == [(doppler[0] * nodes[1], shifts[2] + doppler[1] * nodes[1])]
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def no_dense_fallback(*args, **kwargs):
+    raise AssertionError("dense fallback used")
+
+
 def test_real_eigenvalues_are_handled(monkeypatch):
     """np.linalg.eig returns real arrays when every eigenvalue is real.  A
     constructed two-level generator gives Delta^-1 S0 such a spectrum: no

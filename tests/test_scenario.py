@@ -13,9 +13,10 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from vaporplate import (PRESETS, ConfigError, ModelError, SublevelId,
-                        VaporplateError, VelocityGrid, build_hamiltonian,
-                        load_preset, load_scenario, scenario_from_config,
-                        steady_state, sweep, vectorize)
+                        TransitionEntry, TransitionTable, VaporplateError,
+                        VelocityGrid, build_hamiltonian, load_preset,
+                        load_scenario, response_from_density,
+                        scenario_from_config, steady_state, sweep, vectorize)
 from vaporplate.scenario import _freq
 
 
@@ -439,6 +440,29 @@ def test_response_refuses_a_signal_without_rabi_frequency():
     fields["signal"] = replace(fields["signal"], rabi=0.0)
     with pytest.raises(ModelError, match="signal Rabi frequency"):
         sweep(replace(spec, fields=fields))
+
+
+def test_sigma_plus_signal_reads_neither_sigma_minus_nor_pi():
+    """With signal polarization (1, 0) the sigma- phase and attenuation
+    are exactly 0 whatever rho holds, and a pi signal transition adds
+    nothing to the response."""
+    scn = load_preset("fig7-full")
+    signal = replace(scn.fields["signal"], polarization=(1.0 + 0j, 0j))
+    n = scn.scheme.n_levels
+    rng = np.random.default_rng(7)
+    rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    r = response_from_density(rho, scn.scheme, scn.transitions, signal,
+                              scn.medium)
+    assert r.phi_minus == 0.0 and r.alpha_minus == 0.0
+    assert r.phi_plus != 0.0 and r.alpha_plus != 0.0
+    pi = next(TransitionEntry(upper, e.lower, 0, 1.0, "signal")
+              for e in scn.transitions.for_field("signal")
+              for upper in [replace(e.upper, mf=e.lower.mf)]
+              if upper in scn.scheme.index)
+    with_pi = TransitionTable(scn.transitions.entries + (pi,))
+    assert rho[scn.scheme.index[pi.lower], scn.scheme.index[pi.upper]] != 0
+    assert response_from_density(rho, scn.scheme, with_pi, signal,
+                                 scn.medium) == r
 
 
 # ---------------------------------------------------------------------------
